@@ -5,15 +5,7 @@ All arithmetic is exact (unbounded ints and fractions); every counter has
 an independent brute-force twin in latticecount.oracle.
 """
 
-from .rationals import (
-    Rational,
-    ceil,
-    egcd,
-    floor,
-    floor_div,
-    format_rational,
-    parse_rational,
-)
+from .rationals import egcd, format_rational, parse_rational
 from .semigroup import TwoGenSemigroup, denumerant2
 from .triangles import (
     HYPOTENUSE,
@@ -57,10 +49,6 @@ from . import oracle
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
-    "floor_div",
-    "floor",
-    "ceil",
     "egcd",
     "parse_rational",
     "format_rational",

@@ -2,7 +2,9 @@
 
 One subcommand per counted shape or semigroup query, exact rational
 input everywhere the geometry allows it, optional decomposition traces
-(--trace) and optional brute-force cross-checking (--check).
+(--trace) and optional brute-force cross-checking (--check).  Every
+subcommand is one row of the SUBCOMMANDS table; build_parser and run
+read that table and hold no per-subcommand code.
 
 Exit codes: 0 success, 1 input error, 2 the brute-force check disagreed
 with the reported count.
@@ -10,12 +12,14 @@ with the reported count.
 
 import argparse
 import json
+import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import Callable
 
 from . import oracle
 from .polygons import (
-    Polygon,
     Triangle,
     pick_audit,
     polygon_count,
@@ -40,6 +44,10 @@ from .triangles import (
 )
 
 _EXCLUDE_PARTS = {"hyp": HYPOTENUSE, "legx": LEG_X, "legy": LEG_Y}
+
+# argparse reads only -N and -N.N as negative numbers, so "-6/5" would be
+# taken for an option; every signed rational form is a positional here.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+|\d*\.\d+|\d+/\d+)$")
 
 
 @dataclass
@@ -79,45 +87,20 @@ def render_text(report):
     return "\n".join(lines)
 
 
-def _rational_args(args, names):
-    return [parse_rational(getattr(args, name)) for name in names]
+# --- helpers the table rows call -------------------------------------------
 
 
-def _int_args(args, names):
-    return [parse_int(getattr(args, name)) for name in names]
+def _strs(values):
+    return [str(v) for v in values]
 
 
-# --- subcommand handlers ---------------------------------------------------
-
-
-def _cmd_thr(args):
-    a, b, c = _int_args(args, ["a", "b", "c"])
-    count = quadrant_count(a, b, c)
-    trace = None
-    if args.trace:
-        blocks = quadrant_blocks(a, b, c)
-        trace = {
-            "k": blocks.k,
-            "blocks": [str(n) for n in blocks.block_counts],
-            "tail_terms": [str(n) for n in blocks.tail_terms],
-        }
-    report = CountReport(f"thr({a}, {b}, {c})", count, trace)
-    if args.check:
-        report.oracle = oracle.brute_halfplane_quadrant(a, b, c, budget=args.oracle_budget)
-    return report
-
-
-def _cmd_rect(args):
-    x0, y0, x1, y1 = _rational_args(args, ["x0", "y0", "x1", "y1"])
-    count = rect_count((x0, y0), (x1, y1))
-    report = CountReport(
-        f"rect({format_rational(x0)}, {format_rational(y0)}, "
-        f"{format_rational(x1)}, {format_rational(y1)})",
-        count,
-    )
-    if args.check:
-        report.oracle = oracle.brute_rect((x0, y0), (x1, y1), budget=args.oracle_budget)
-    return report
+def _read_polygon(path):
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    return polygon_from_text(text)
 
 
 def _parse_exclude(values):
@@ -131,158 +114,196 @@ def _parse_exclude(values):
     return parts
 
 
-def _cmd_rtri(args):
-    ax, ay, bx, by, cx, cy = _rational_args(args, ["ax", "ay", "bx", "by", "cx", "cy"])
-    tri = StableRightTriangle(corner=(ax, ay), y_vertex=(bx, by), x_vertex=(cx, cy))
-    parts = _parse_exclude(args.exclude)
-    count = stable_right_count(tri, exclude=parts)
-    trace = None
-    if args.trace:
-        kind, data = stable_right_reduction(tri)
-        if kind == "quadrant":
-            trace = {"reduction": kind,
-                     "a": str(data[0]), "b": str(data[1]), "c": str(data[2])}
-        else:
-            trace = {"reduction": kind}
-        if parts:
-            trace["excluded"] = sorted(parts)
-    report = CountReport(f"rtri(A=({ax}, {ay}), B=({bx}, {by}), C=({cx}, {cy}))", count, trace)
-    if args.check:
-        excl = []
-        if HYPOTENUSE in parts:
-            excl.append(tri.hypotenuse)
-        if LEG_X in parts:
-            excl.append(tri.leg_x)
-        if LEG_Y in parts:
-            excl.append(tri.leg_y)
-        report.oracle = oracle.brute_triangle(
-            Triangle(*tri.vertices), exclude_segments=excl, budget=args.oracle_budget
-        )
-    return report
+def _thr_trace(a, b, c):
+    blocks = quadrant_blocks(a, b, c)
+    return {"k": blocks.k, "blocks": _strs(blocks.block_counts),
+            "tail_terms": _strs(blocks.tail_terms)}
 
 
-def _cmd_tri(args):
-    coords = _rational_args(args, ["x1", "y1", "x2", "y2", "x3", "y3"])
-    tri = Triangle((coords[0], coords[1]), (coords[2], coords[3]), (coords[4], coords[5]))
-    count = triangle_count(tri)
-    trace = {"case": triangle_case(tri)} if args.trace else None
-    report = CountReport(
-        "tri(" + ", ".join(format_rational(v) for v in coords) + ")", count, trace
-    )
-    if args.check:
-        report.oracle = oracle.brute_triangle(tri, budget=args.oracle_budget)
-    return report
+def _rtri_trace(tri, parts):
+    kind, data = stable_right_reduction(tri)
+    trace = {"reduction": kind}
+    if kind == "quadrant":
+        trace.update(zip("abc", _strs(data)))
+    if parts:
+        trace["excluded"] = sorted(parts)
+    return trace
 
 
-def _read_polygon(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    return polygon_from_text(text)
+def _poly_trace(poly):
+    tris = triangulate(poly)
+    return {"triangles": len(tris), "triangle_counts": _strs(triangle_count(t) for t in tris)}
 
 
-def _cmd_poly(args):
-    poly = _read_polygon(args.file)
-    count = polygon_count(poly)
-    trace = None
-    if args.trace:
-        tris = triangulate(poly)
-        trace = {
-            "triangles": len(tris),
-            "triangle_counts": [str(triangle_count(t)) for t in tris],
-        }
-    report = CountReport(f"poly(n={len(poly.vertices)})", count, trace)
-    if args.check:
-        report.oracle = oracle.brute_polygon(poly, budget=args.oracle_budget)
-    return report
+def _pick_trace(poly, audit):
+    return {"area": format_rational(audit.area), "interior": str(audit.interior),
+            "boundary": str(audit.boundary), "holds": audit.holds}
 
 
-def _cmd_tetra(args):
-    a1, a2, a3, b = _int_args(args, ["a1", "a2", "a3", "b"])
-    count = tetra_count(a1, a2, a3, b)
-    trace = None
-    if args.trace:
-        trace = {"slices": [str(n) for n in tetra_slice_counts(a1, a2, a3, b)]}
-    report = CountReport(f"tetra({a1}, {a2}, {a3}; {b})", count, trace)
-    if args.check:
-        report.oracle = oracle.brute_tetra(a1, a2, a3, b, budget=args.oracle_budget)
-    return report
+def _semigroup_options(sp):
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--gaps", action="store_true", help="list the gaps")
+    group.add_argument("--apery", metavar="S", help="Apery set w.r.t. generator S")
+    group.add_argument("--contains", metavar="N", help="membership of N")
+    group.add_argument("--upto", metavar="C", help="count elements in [0, C]")
 
 
-def _cmd_denumerant(args):
-    a, b, c = _int_args(args, ["a", "b", "c"])
-    count = TwoGenSemigroup(a, b).denumerant(c)
-    report = CountReport(f"denumerant({c}; {a}, {b})", count)
-    if args.check:
-        report.oracle = oracle.brute_denumerant2(a, b, c)
-    return report
+_Query = namedtuple("_Query", ["shape", "count", "trace", "oracle"])
 
 
-def _cmd_denumerant3(args):
-    a1, a2, a3, n = _int_args(args, ["a1", "a2", "a3", "n"])
-    count = denumerant3(a1, a2, a3, n)
-    report = CountReport(f"denumerant({n}; {a1}, {a2}, {a3})", count)
-    if args.check:
-        report.oracle = oracle.brute_denumerant3(a1, a2, a3, n)
-    return report
-
-
-def _cmd_semigroup(args):
-    a, b = _int_args(args, ["a", "b"])
+def _semigroup_query(args, a, b):
+    """The one semigroup query the mode flags select; its oracle takes the
+    cell budget."""
     sg = TwoGenSemigroup(a, b)
     shape = f"semigroup({a}, {b})"
     if args.gaps:
         gaps = sg.gaps()
-        report = CountReport(shape + " gaps", len(gaps), {"gaps": [str(n) for n in gaps]})
-        if args.check:
-            report.oracle = len(oracle.brute_gaps(a, b))
-    elif args.apery is not None:
+        return _Query(shape + " gaps", len(gaps), {"gaps": _strs(gaps)},
+                      lambda budget: len(oracle.brute_gaps(a, b)))
+    if args.apery is not None:
         s = parse_int(args.apery)
         ap = sg.apery(s)
         # the count is the set's sum: a checksum that detects any wrong element
-        report = CountReport(shape + f" apery({s})", sum(ap), {"apery": [str(n) for n in ap]})
-        if args.check:
-            report.oracle = sum(oracle.brute_apery(a, b, s))
-    elif args.contains is not None:
+        return _Query(shape + f" apery({s})", sum(ap), {"apery": _strs(ap)},
+                      lambda budget: sum(oracle.brute_apery(a, b, s)))
+    if args.contains is not None:
         n = parse_int(args.contains)
         member = sg.contains(n)
-        report = CountReport(shape + f" contains({n})", 1 if member else 0,
-                             {"contains": member})
-        if args.check:
-            report.oracle = 1 if oracle.brute_contains(a, b, n, budget=args.oracle_budget) else 0
-    elif args.upto is not None:
+        return _Query(shape + f" contains({n})", int(member), {"contains": member},
+                      lambda budget: int(oracle.brute_contains(a, b, n, budget=budget)))
+    if args.upto is not None:
         c = parse_int(args.upto)
-        report = CountReport(shape + f" upto({c})", sg.count_upto(c))
-        if args.check:
-            report.oracle = oracle.brute_count_upto(a, b, c, budget=args.oracle_budget)
-    else:
-        report = CountReport(
-            shape,
-            sg.genus,
-            {"frobenius": str(sg.frobenius), "genus": str(sg.genus)},
-        )
-        if args.check:
-            gaps = oracle.brute_gaps(a, b)
-            report.oracle = len(gaps)
-    return report
+        return _Query(shape + f" upto({c})", sg.count_upto(c), None,
+                      lambda budget: oracle.brute_count_upto(a, b, c, budget=budget))
+    return _Query(shape, sg.genus, {"frobenius": str(sg.frobenius), "genus": str(sg.genus)},
+                  lambda budget: len(oracle.brute_gaps(a, b)))
 
 
-def _cmd_pick(args):
-    poly = _read_polygon(args.file)
-    audit = pick_audit(poly)
-    total = audit.interior + audit.boundary
-    trace = {
-        "area": format_rational(audit.area),
-        "interior": str(audit.interior),
-        "boundary": str(audit.boundary),
-        "holds": audit.holds,
-    }
-    report = CountReport(f"pick(n={len(poly.vertices)})", total, trace)
-    if args.check:
-        report.oracle = oracle.brute_polygon(poly, budget=args.oracle_budget)
-    return report
+# --- the subcommand table --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One CLI subcommand.
+
+    `parse` names the function of this module that reads each positional
+    in `args`.  `make` turns the namespace and the parsed positionals into
+    the subject tuple; `count`, `shape`, `trace` and `oracle` are called
+    with the subject unpacked (`oracle` also with the keyword `budget`).
+    The callables look library and oracle functions up when they run, not
+    at import, so patching a module global reaches them.  `trace` is shown
+    under --trace, or always when `always_trace` is set.
+    """
+
+    name: str
+    help: str
+    args: tuple
+    parse: str
+    count: Callable
+    shape: Callable
+    oracle: Callable
+    make: Callable = lambda args, *values: values
+    trace: Callable | None = None
+    always_trace: bool = False
+    options: Callable | None = None
+
+
+SUBCOMMANDS = (
+    Subcommand(
+        "thr", "count a*x + b*y <= c over x, y >= 0 (a, b coprime)",
+        ("a", "b", "c"), "parse_int",
+        count=lambda a, b, c: quadrant_count(a, b, c),
+        shape=lambda a, b, c: f"thr({a}, {b}, {c})",
+        trace=_thr_trace,
+        oracle=lambda a, b, c, budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget),
+    ),
+    Subcommand(
+        "rect", "count a stable rectangle",
+        ("x0", "y0", "x1", "y1"), "parse_rational",
+        count=lambda x0, y0, x1, y1: rect_count((x0, y0), (x1, y1)),
+        shape=lambda *xy: "rect({}, {}, {}, {})".format(*xy),
+        oracle=lambda x0, y0, x1, y1, budget: oracle.brute_rect((x0, y0), (x1, y1),
+                                                                budget=budget),
+    ),
+    Subcommand(
+        "rtri", "count a stable right triangle (A right angle, B above/below A, C beside A)",
+        ("ax", "ay", "bx", "by", "cx", "cy"), "parse_rational",
+        make=lambda args, ax, ay, bx, by, cx, cy: (
+            StableRightTriangle(corner=(ax, ay), y_vertex=(bx, by), x_vertex=(cx, cy)),
+            _parse_exclude(args.exclude),
+        ),
+        count=lambda tri, parts: stable_right_count(tri, exclude=parts),
+        shape=lambda tri, parts: "rtri(A=({}, {}), B=({}, {}), C=({}, {}))".format(
+            *tri.corner, *tri.y_vertex, *tri.x_vertex),
+        trace=_rtri_trace,
+        oracle=lambda tri, parts, budget: oracle.brute_triangle(
+            Triangle(*tri.vertices), exclude_segments=tri.boundary_segments(parts),
+            budget=budget),
+        options=lambda sp: sp.add_argument(
+            "--exclude", action="append", metavar="PART",
+            help="boundary parts to exclude: hyp, legx, legy (repeatable, comma-separated)"),
+    ),
+    Subcommand(
+        "tri", "count a general triangle",
+        ("x1", "y1", "x2", "y2", "x3", "y3"), "parse_rational",
+        make=lambda args, x1, y1, x2, y2, x3, y3: (Triangle((x1, y1), (x2, y2), (x3, y3)),),
+        count=lambda tri: triangle_count(tri),
+        shape=lambda tri: "tri({}, {}, {}, {}, {}, {})".format(*tri.v1, *tri.v2, *tri.v3),
+        trace=lambda tri: {"case": triangle_case(tri)},
+        oracle=lambda tri, budget: oracle.brute_triangle(tri, budget=budget),
+    ),
+    Subcommand(
+        "poly", "count a simple polygon read from FILE or - (stdin)",
+        ("file",), "_read_polygon",
+        count=lambda poly: polygon_count(poly),
+        shape=lambda poly: f"poly(n={len(poly.vertices)})",
+        trace=_poly_trace,
+        oracle=lambda poly, budget: oracle.brute_polygon(poly, budget=budget),
+    ),
+    Subcommand(
+        "tetra", "count a1*x1 + a2*x2 + a3*x3 <= b over xi >= 0",
+        ("a1", "a2", "a3", "b"), "parse_int",
+        count=lambda a1, a2, a3, b: tetra_count(a1, a2, a3, b),
+        shape=lambda a1, a2, a3, b: f"tetra({a1}, {a2}, {a3}; {b})",
+        trace=lambda a1, a2, a3, b: {"slices": _strs(tetra_slice_counts(a1, a2, a3, b))},
+        oracle=lambda a1, a2, a3, b, budget: oracle.brute_tetra(a1, a2, a3, b, budget=budget),
+    ),
+    Subcommand(
+        "denumerant", "representations of c as x*a + y*b (a, b coprime)",
+        ("a", "b", "c"), "parse_int",
+        count=lambda a, b, c: TwoGenSemigroup(a, b).denumerant(c),
+        shape=lambda a, b, c: f"denumerant({c}; {a}, {b})",
+        oracle=lambda a, b, c, budget: oracle.brute_denumerant2(a, b, c),
+    ),
+    Subcommand(
+        "denumerant3", "representations of n over three generators",
+        ("a1", "a2", "a3", "n"), "parse_int",
+        count=lambda a1, a2, a3, n: denumerant3(a1, a2, a3, n),
+        shape=lambda a1, a2, a3, n: f"denumerant({n}; {a1}, {a2}, {a3})",
+        oracle=lambda a1, a2, a3, n, budget: oracle.brute_denumerant3(a1, a2, a3, n),
+    ),
+    Subcommand(
+        "semigroup", "invariants of the numerical semigroup <a, b>",
+        ("a", "b"), "parse_int",
+        make=lambda args, a, b: (_semigroup_query(args, a, b),),
+        count=lambda query: query.count,
+        shape=lambda query: query.shape,
+        trace=lambda query: query.trace,
+        always_trace=True,
+        oracle=lambda query, budget: query.oracle(budget),
+        options=_semigroup_options,
+    ),
+    Subcommand(
+        "pick", "Pick's-theorem audit of an integral-vertex polygon",
+        ("file",), "_read_polygon",
+        make=lambda args, poly: (poly, pick_audit(poly)),
+        count=lambda poly, audit: audit.interior + audit.boundary,
+        shape=lambda poly, audit: f"pick(n={len(poly.vertices)})",
+        trace=_pick_trace,
+        always_trace=True,
+        oracle=lambda poly, audit, budget: oracle.brute_polygon(poly, budget=budget),
+    ),
+)
 
 
 # --- driver ----------------------------------------------------------------
@@ -303,72 +324,14 @@ def build_parser():
     common.add_argument("--oracle-budget", type=int, default=oracle.DEFAULT_CELL_BUDGET,
                         metavar="N", help="cell budget for the brute-force oracle")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("thr", parents=[common],
-                        help="count a*x + b*y <= c over x, y >= 0 (a, b coprime)")
-    for name in ("a", "b", "c"):
-        sp.add_argument(name)
-    sp.set_defaults(handler=_cmd_thr)
-
-    sp = sub.add_parser("rect", parents=[common], help="count a stable rectangle")
-    for name in ("x0", "y0", "x1", "y1"):
-        sp.add_argument(name)
-    sp.set_defaults(handler=_cmd_rect)
-
-    sp = sub.add_parser("rtri", parents=[common],
-                        help="count a stable right triangle (A right angle, "
-                        "B above/below A, C beside A)")
-    for name in ("ax", "ay", "bx", "by", "cx", "cy"):
-        sp.add_argument(name)
-    sp.add_argument("--exclude", action="append", metavar="PART",
-                    help="boundary parts to exclude: hyp, legx, legy "
-                    "(repeatable, comma-separated)")
-    sp.set_defaults(handler=_cmd_rtri)
-
-    sp = sub.add_parser("tri", parents=[common], help="count a general triangle")
-    for name in ("x1", "y1", "x2", "y2", "x3", "y3"):
-        sp.add_argument(name)
-    sp.set_defaults(handler=_cmd_tri)
-
-    sp = sub.add_parser("poly", parents=[common],
-                        help="count a simple polygon read from FILE or - (stdin)")
-    sp.add_argument("file")
-    sp.set_defaults(handler=_cmd_poly)
-
-    sp = sub.add_parser("tetra", parents=[common],
-                        help="count a1*x1 + a2*x2 + a3*x3 <= b over xi >= 0")
-    for name in ("a1", "a2", "a3", "b"):
-        sp.add_argument(name)
-    sp.set_defaults(handler=_cmd_tetra)
-
-    sp = sub.add_parser("denumerant", parents=[common],
-                        help="representations of c as x*a + y*b (a, b coprime)")
-    for name in ("a", "b", "c"):
-        sp.add_argument(name)
-    sp.set_defaults(handler=_cmd_denumerant)
-
-    sp = sub.add_parser("denumerant3", parents=[common],
-                        help="representations of n over three generators")
-    for name in ("a1", "a2", "a3", "n"):
-        sp.add_argument(name)
-    sp.set_defaults(handler=_cmd_denumerant3)
-
-    sp = sub.add_parser("semigroup", parents=[common],
-                        help="invariants of the numerical semigroup <a, b>")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--gaps", action="store_true", help="list the gaps")
-    group.add_argument("--apery", metavar="S", help="Apery set w.r.t. generator S")
-    group.add_argument("--contains", metavar="N", help="membership of N")
-    group.add_argument("--upto", metavar="C", help="count elements in [0, C]")
-    sp.set_defaults(handler=_cmd_semigroup)
-
-    sp = sub.add_parser("pick", parents=[common],
-                        help="Pick's-theorem audit of an integral-vertex polygon")
-    sp.add_argument("file")
-    sp.set_defaults(handler=_cmd_pick)
-
+    for row in SUBCOMMANDS:
+        sp = sub.add_parser(row.name, parents=[common], help=row.help)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
+        for name in row.args:
+            sp.add_argument(name)
+        if row.options:
+            row.options(sp)
+        sp.set_defaults(row=row)
     return parser
 
 
@@ -382,13 +345,19 @@ def run(argv, out=None, err=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    row = args.row
     try:
-        report = args.handler(args)
+        parse = globals()[row.parse]
+        subject = row.make(args, *(parse(getattr(args, name)) for name in row.args))
+        report = CountReport(row.shape(*subject), row.count(*subject))
+        if row.trace and (args.trace or row.always_trace):
+            report.trace = row.trace(*subject)
+        if args.check:
+            report.oracle = row.oracle(*subject, budget=args.oracle_budget)
+            report.agreed = report.count == report.oracle
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    if args.check and report.oracle is not None:
-        report.agreed = report.count == report.oracle
     if args.json:
         print(dumps_canonical(report.to_dict()), file=out)
     else:

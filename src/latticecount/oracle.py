@@ -11,9 +11,7 @@ inputs fail fast instead of spinning.
 """
 
 from fractions import Fraction
-from math import ceil, floor, gcd
-
-import numpy as np
+from math import ceil, floor
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
@@ -182,24 +180,25 @@ def brute_tetra(a1, a2, a3, b, budget=DEFAULT_CELL_BUDGET):
 
 def brute_equation3_table(a1, a2, a3, nmax, budget=DEFAULT_CELL_BUDGET):
     """Representation counts of a1*x1 + a2*x2 + a3*x3 = n for all n in
-    [0, nmax], by enumerating every attained sum and histogramming.
+    [0, nmax], by coin-counting dynamic programming (add coin a1, then a2,
+    then a3).
 
-    This is the triple loop vectorized with numpy so that whole sweeps fit
-    in a test budget; it remains plain enumeration.
+    The budget bounds the (x1, x2, x3) candidates a triple loop would
+    scan, so the table refuses the same inputs as plain enumeration.
     """
     if a1 < 1 or a2 < 1 or a3 < 1:
         raise ValueError(f"coefficients must be positive, got ({a1}, {a2}, {a3})")
     if nmax < 0:
         return []
-    v1 = np.arange(0, nmax + 1, a1, dtype=np.int64)
-    v2 = np.arange(0, nmax + 1, a2, dtype=np.int64)
-    s12 = (v1[:, None] + v2[None, :]).ravel()
-    s12 = s12[s12 <= nmax]
-    v3 = np.arange(0, nmax + 1, a3, dtype=np.int64)
-    _check_budget(len(s12) * len(v3), budget)
-    s = (s12[:, None] + v3[None, :]).ravel()
-    s = s[s <= nmax]
-    return np.bincount(s, minlength=nmax + 1).tolist()
+    pairs = sum((nmax - a1 * x1) // a2 + 1 for x1 in range(nmax // a1 + 1))
+    _check_budget(pairs * (nmax // a3 + 1), budget)
+    ways = [0] * (nmax + 1)
+    for m in range(0, nmax + 1, a1):
+        ways[m] = 1
+    for coin in (a2, a3):
+        for n in range(coin, nmax + 1):
+            ways[n] += ways[n - coin]
+    return ways
 
 
 def brute_tetra_table(a1, a2, a3, bmax, budget=DEFAULT_CELL_BUDGET):

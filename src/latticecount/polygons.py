@@ -310,11 +310,10 @@ def polygon_count(p):
     """Integral points in a closed simple polygon.
 
     Sum of the triangle counts of a triangulation, minus each internal
-    edge once per extra incidence (a diagonal is shared by two triangles,
-    so its points are double counted), plus a per-vertex correction so
-    every lattice point is attributed exactly once.  With the ear
-    triangulation above the vertex corrections are identically zero; they
-    are computed anyway so the bookkeeping is self-contained.
+    edge once per extra incidence: a diagonal is shared by two triangles,
+    so its points are double counted.  A polygon vertex lies in several
+    triangles only through the diagonals at it, so the diagonal correction
+    also attributes every vertex exactly once.
     """
     tris = triangulate(p)
     total = 0
@@ -328,13 +327,6 @@ def polygon_count(p):
     for (a, b), inc in incidence.items():
         if inc > 1:
             total -= (inc - 1) * segment_count(Segment(a, b))
-    for vert in p.vertices:
-        if not _is_integral(vert):
-            continue
-        t_v = sum(1 for t in tris if vert in t.vertices)
-        over = sum(inc - 1 for (a, b), inc in incidence.items()
-                   if inc > 1 and vert in (a, b))
-        total += 1 - t_v + over
     return total
 
 

@@ -8,34 +8,10 @@ Division is floor-style throughout: the remainder of n mod d lies in
 [0, d) for d > 0, which is what Python's // and % already do.
 """
 
-import math
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+/\d+|\d+)\Z")
-
-
-def floor_div(n, d):
-    """Return floor(n / d), rounding toward minus infinity.
-
-    Rejects d == 0.  This is Python's // on ints, spelled out so the
-    rounding contract is pinned in one place.
-    """
-    if d == 0:
-        raise ZeroDivisionError("floor_div by zero")
-    return n // d
-
-
-def floor(x):
-    """Greatest integer <= x (x may be a Fraction or an int)."""
-    return math.floor(x)
-
-
-def ceil(x):
-    """Least integer >= x (x may be a Fraction or an int)."""
-    return math.ceil(x)
 
 
 def egcd(a, b):

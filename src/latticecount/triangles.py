@@ -321,6 +321,16 @@ class StableRightTriangle:
     def leg_y(self):
         return Segment(self.corner, self.y_vertex)
 
+    def boundary_segments(self, parts):
+        """The segments of the named boundary parts, in the order
+        hypotenuse, leg_x, leg_y; each part is named after its property.
+        An unknown name raises ValueError."""
+        parts = frozenset(parts)
+        bad = parts - _BOUNDARY_PARTS
+        if bad:
+            raise ValueError(f"unknown boundary parts {sorted(bad)}")
+        return [getattr(self, part) for part in (HYPOTENUSE, LEG_X, LEG_Y) if part in parts]
+
 
 def stable_right_reduction(t):
     """Reduce a stable right triangle to a primitive counting problem.
@@ -375,10 +385,7 @@ def stable_right_count(t, exclude=()):
     excluded parts (the triangle corners) are subtracted once only, via
     inclusion-exclusion over the excluded segments.
     """
-    parts = frozenset(exclude)
-    bad = parts - _BOUNDARY_PARTS
-    if bad:
-        raise ValueError(f"unknown boundary parts {sorted(bad)}")
+    segs = t.boundary_segments(exclude)
     kind, data = stable_right_reduction(t)
     if kind == "point":
         closed = 1 if _is_integral(data) else 0
@@ -386,15 +393,6 @@ def stable_right_count(t, exclude=()):
         closed = segment_count(data)
     else:
         closed = quadrant_count(*data)
-    if not parts:
-        return closed
-    segs = []
-    if HYPOTENUSE in parts:
-        segs.append(t.hypotenuse)
-    if LEG_X in parts:
-        segs.append(t.leg_x)
-    if LEG_Y in parts:
-        segs.append(t.leg_y)
     return closed - _union_count(segs)
 
 

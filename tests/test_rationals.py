@@ -3,53 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticecount.rationals import (
-    ceil,
-    egcd,
-    floor,
-    floor_div,
-    format_rational,
-    parse_int,
-    parse_rational,
-)
-
-
-def test_floor_div_examples():
-    assert floor_div(7, 2) == 3
-    assert floor_div(-7, 2) == -4  # floor rounds toward -inf
-    assert floor_div(46, 21) == 2
-
-
-def test_floor_div_rejects_zero_divisor():
-    with pytest.raises(ZeroDivisionError):
-        floor_div(5, 0)
-
-
-def test_floor_div_characterization():
-    for n in range(-50, 51):
-        for d in [*range(-9, 0), *range(1, 10)]:
-            q = floor_div(n, d)
-            assert q == math.floor(Fraction(n, d))
-            if d > 0:
-                assert q * d <= n < (q + 1) * d
-            else:
-                assert q * d >= n > (q + 1) * d
-
-
-def test_floor_ceil_examples():
-    assert floor(Fraction(7, 2)) == 3
-    assert ceil(Fraction(-7, 2)) == -3
-    assert ceil(Fraction(1, 3)) == 1
-    assert floor(Fraction(2, 3)) == 0
-
-
-def test_floor_ceil_bracket():
-    for num in range(-40, 41):
-        for den in range(1, 9):
-            x = Fraction(num, den)
-            assert floor(x) <= x <= ceil(x)
-            assert ceil(x) - floor(x) in (0, 1)
-            assert (ceil(x) == floor(x)) == (x.denominator == 1)
+from latticecount.rationals import egcd, format_rational, parse_int, parse_rational
 
 
 def test_egcd_examples():

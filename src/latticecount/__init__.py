@@ -12,7 +12,6 @@ from .triangles import (
     LEG_X,
     LEG_Y,
     BlockTrace,
-    LineEq,
     Segment,
     StableRightTriangle,
     point_on_segment,
@@ -54,7 +53,6 @@ __all__ = [
     "format_rational",
     "TwoGenSemigroup",
     "denumerant2",
-    "LineEq",
     "Segment",
     "BlockTrace",
     "StableRightTriangle",

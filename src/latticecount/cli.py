@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from typing import Callable
 
@@ -159,13 +160,13 @@ def _semigroup_query(args, a, b):
     if args.gaps:
         gaps = sg.gaps()
         return _Query(shape + " gaps", len(gaps), {"gaps": _strs(gaps)},
-                      lambda budget: len(oracle.brute_gaps(a, b)))
+                      lambda budget: len(oracle.brute_gaps(a, b, budget=budget)))
     if args.apery is not None:
         s = parse_int(args.apery)
         ap = sg.apery(s)
         # the count is the set's sum: a checksum that detects any wrong element
         return _Query(shape + f" apery({s})", sum(ap), {"apery": _strs(ap)},
-                      lambda budget: sum(oracle.brute_apery(a, b, s)))
+                      lambda budget: sum(oracle.brute_apery(a, b, s, budget=budget)))
     if args.contains is not None:
         n = parse_int(args.contains)
         member = sg.contains(n)
@@ -176,7 +177,7 @@ def _semigroup_query(args, a, b):
         return _Query(shape + f" upto({c})", sg.count_upto(c), None,
                       lambda budget: oracle.brute_count_upto(a, b, c, budget=budget))
     return _Query(shape, sg.genus, {"frobenius": str(sg.frobenius), "genus": str(sg.genus)},
-                  lambda budget: len(oracle.brute_gaps(a, b)))
+                  lambda budget: len(oracle.brute_gaps(a, b, budget=budget)))
 
 
 # --- the subcommand table --------------------------------------------------
@@ -273,14 +274,15 @@ SUBCOMMANDS = (
         ("a", "b", "c"), "parse_int",
         count=lambda a, b, c: TwoGenSemigroup(a, b).denumerant(c),
         shape=lambda a, b, c: f"denumerant({c}; {a}, {b})",
-        oracle=lambda a, b, c, budget: oracle.brute_denumerant2(a, b, c),
+        oracle=lambda a, b, c, budget: oracle.brute_denumerant2(a, b, c, budget=budget),
     ),
     Subcommand(
         "denumerant3", "representations of n over three generators",
         ("a1", "a2", "a3", "n"), "parse_int",
         count=lambda a1, a2, a3, n: denumerant3(a1, a2, a3, n),
         shape=lambda a1, a2, a3, n: f"denumerant({n}; {a1}, {a2}, {a3})",
-        oracle=lambda a1, a2, a3, n, budget: oracle.brute_denumerant3(a1, a2, a3, n),
+        oracle=lambda a1, a2, a3, n, budget: oracle.brute_denumerant3(
+            a1, a2, a3, n, budget=budget),
     ),
     Subcommand(
         "semigroup", "invariants of the numerical semigroup <a, b>",
@@ -337,12 +339,14 @@ def build_parser():
 
 def run(argv, out=None, err=None):
     """Run the CLI; returns the exit code (0 ok, 1 input error, 2 oracle
-    disagreement)."""
+    disagreement).  Everything, argparse's help and usage errors included,
+    is written to out and err (default: the process streams)."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     row = args.row

@@ -213,10 +213,11 @@ def brute_tetra_table(a1, a2, a3, bmax, budget=DEFAULT_CELL_BUDGET):
     return out
 
 
-def brute_denumerant2(a, b, c):
+def brute_denumerant2(a, b, c, budget=DEFAULT_CELL_BUDGET):
     """Representations of c as x*a + y*b, x, y >= 0, by a single loop."""
     if c < 0:
         return 0
+    _check_budget(c // a + 1, budget)
     return sum(1 for x in range(c // a + 1) if (c - a * x) % b == 0)
 
 
@@ -231,11 +232,12 @@ def brute_denumerant2_table(a, b, cmax):
     return ways
 
 
-def brute_denumerant3(a1, a2, a3, n):
+def brute_denumerant3(a1, a2, a3, n, budget=DEFAULT_CELL_BUDGET):
     """Representations of n in <a1, a2, a3> by a double loop plus a
     divisibility test."""
     if n < 0:
         return 0
+    _check_budget((n // a1 + 1) * (n // a2 + 1), budget)
     count = 0
     for x1 in range(n // a1 + 1):
         r1 = n - a1 * x1
@@ -245,49 +247,42 @@ def brute_denumerant3(a1, a2, a3, n):
     return count
 
 
-def brute_gaps(a, b):
-    """Gaps of <a, b> by sieving representability up to a*b."""
-    limit = a * b
+def _representable(a, b, limit, budget):
+    """reach[n] for n in [0, limit]: is n = x*a + y*b with x, y >= 0?
+    Sieved upwards from reach[0]."""
+    _check_budget(limit + 1, budget)
     reach = [False] * (limit + 1)
     reach[0] = True
     for n in range(1, limit + 1):
         reach[n] = (n >= a and reach[n - a]) or (n >= b and reach[n - b])
-    return [n for n in range(limit + 1) if not reach[n]]
+    return reach
+
+
+def brute_gaps(a, b, budget=DEFAULT_CELL_BUDGET):
+    """Gaps of <a, b> by sieving representability up to a*b."""
+    reach = _representable(a, b, a * b, budget)
+    return [n for n, found in enumerate(reach) if not found]
 
 
 def brute_contains(a, b, n, budget=DEFAULT_CELL_BUDGET):
     """Membership of n in <a, b> by sieving representability up to n."""
     if n < 0:
         return False
-    _check_budget(n + 1, budget)
-    reach = [False] * (n + 1)
-    reach[0] = True
-    for m in range(1, n + 1):
-        reach[m] = (m >= a and reach[m - a]) or (m >= b and reach[m - b])
-    return reach[n]
+    return _representable(a, b, n, budget)[n]
 
 
 def brute_count_upto(a, b, c, budget=DEFAULT_CELL_BUDGET):
     """Number of representable integers in [0, c] by the same sieve."""
     if c < 0:
         return 0
-    _check_budget(c + 1, budget)
-    reach = [False] * (c + 1)
-    reach[0] = True
-    for n in range(1, c + 1):
-        reach[n] = (n >= a and reach[n - a]) or (n >= b and reach[n - b])
-    return sum(reach)
+    return sum(_representable(a, b, c, budget))
 
 
-def brute_apery(a, b, s):
+def brute_apery(a, b, s, budget=DEFAULT_CELL_BUDGET):
     """Apery set of <a, b> with respect to s by per-residue minimum search."""
-    limit = a * b + s
-    sieve = [False] * (limit + 1)
-    sieve[0] = True
-    for n in range(1, limit + 1):
-        sieve[n] = (n >= a and sieve[n - a]) or (n >= b and sieve[n - b])
+    reach = _representable(a, b, a * b + s, budget)
     out = [None] * s
-    for n in range(limit + 1):
-        if sieve[n] and out[n % s] is None:
+    for n, found in enumerate(reach):
+        if found and out[n % s] is None:
             out[n % s] = n
     return out

@@ -21,10 +21,11 @@ from .triangles import (
     StableRightTriangle,
     _as_point,
     _cross,
+    _in_box,
+    _integer_points,
     _is_integral,
     rect_count,
     segment_count,
-    segment_intersection,
     stable_right_count,
 )
 
@@ -59,10 +60,13 @@ class Triangle:
         return (self.v1, self.v2, self.v3)
 
 
-def _box(points):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return min(xs), max(xs), min(ys), max(ys)
+def _box_corners(v):
+    """The tight bounding box (x0, x1, y0, y1) of the points v, and the
+    points of v at its corners, in the order of v."""
+    xs = [p[0] for p in v]
+    ys = [p[1] for p in v]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    return (x0, x1, y0, y1), [p for p in v if p[0] in (x0, x1) and p[1] in (y0, y1)]
 
 
 def triangle_case(t):
@@ -72,9 +76,7 @@ def triangle_case(t):
     v = t.vertices
     if _cross(*v) == 0:
         return CASE_DEGENERATE
-    x0, x1, y0, y1 = _box(v)
-    corners = {(x0, y0), (x1, y0), (x0, y1), (x1, y1)}
-    hits = [p for p in v if p in corners]
+    _, hits = _box_corners(v)
     if len(hits) == 3:
         return CASE_STABLE
     if len(hits) == 2:
@@ -82,7 +84,8 @@ def triangle_case(t):
         if p[0] == q[0] or p[1] == q[1]:
             return CASE_TWO_ADJACENT
         return CASE_TWO_OPPOSITE
-    assert len(hits) == 1
+    if len(hits) != 1:
+        raise AssertionError(f"triangle {v} has no vertex at a box corner")
     return CASE_ONE_CORNER
 
 
@@ -152,9 +155,7 @@ def triangle_count(t):
     if case == CASE_STABLE:
         return stable_right_count(_stable_from_vertices(v))
     if case == CASE_TWO_ADJACENT:
-        x0, x1, y0, y1 = _box(v)
-        corners = {(x0, y0), (x1, y0), (x0, y1), (x1, y1)}
-        hits = [p for p in v if p in corners]
+        _, hits = _box_corners(v)
         third = next(p for p in v if p not in hits)
         if hits[0][0] != hits[1][0]:  # horizontal edge: transpose to vertical
             hits = [(p[1], p[0]) for p in hits]
@@ -166,13 +167,10 @@ def triangle_count(t):
 
 
 def _two_opposite_count(v):
-    x0, x1, y0, y1 = _box(v)
-    corners = {(x0, y0), (x1, y0), (x0, y1), (x1, y1)}
-    hits = {p for p in v if p in corners}
+    (x0, x1, y0, y1), hits = _box_corners(v)
     if (x0, y0) not in hits:  # corners are (x0,y1),(x1,y0): flip y
         v = [(p[0], -p[1]) for p in v]
-        x0, x1, y0, y1 = _box(v)
-        hits = {(x0, y0), (x1, y1)}
+        (x0, x1, y0, y1), hits = _box_corners(v)
     lo = (x0, y0)
     hi = (x1, y1)
     mid = next(p for p in v if p not in hits)
@@ -189,13 +187,11 @@ def _two_opposite_count(v):
 
 
 def _one_corner_count(v):
-    x0, x1, y0, y1 = _box(v)
-    corners = {(x0, y0), (x1, y0), (x0, y1), (x1, y1)}
-    hit = next(p for p in v if p in corners)
+    (x0, x1, y0, y1), (hit,) = _box_corners(v)
     sx = -1 if hit[0] == x1 else 1
     sy = -1 if hit[1] == y1 else 1
     v = [(sx * p[0], sy * p[1]) for p in v]
-    x0, x1, y0, y1 = _box(v)
+    (x0, x1, y0, y1), _ = _box_corners(v)
     a1 = (x0, y0)
     a2 = next(p for p in v if p[0] == x1)  # strictly inside the right edge
     a3 = next(p for p in v if p[1] == y1)  # strictly inside the top edge
@@ -213,7 +209,7 @@ def _one_corner_count(v):
 
 def signed_area2(vertices):
     """Twice the signed area (shoelace sum); positive for counterclockwise."""
-    total = Fraction(0)
+    total = 0
     n = len(vertices)
     for i in range(n):
         x0, y0 = vertices[i]
@@ -235,41 +231,56 @@ class Polygon:
 
     def __post_init__(self):
         verts = tuple(_as_point(p) for p in self.vertices)
-        _validate_simple(verts)
-        if signed_area2(verts) < 0:
+        if _validate_simple(verts) < 0:
             verts = tuple(reversed(verts))
         object.__setattr__(self, "vertices", verts)
 
 
+def _segments_touch(a, b, c, d):
+    """Do the closed segments a-b and c-d share a point?  Four orientation
+    tests, exact on integer points."""
+    o1, o2 = _cross(a, b, c), _cross(a, b, d)
+    o3, o4 = _cross(c, d, a), _cross(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return ((o1 == 0 and _in_box(c, a, b)) or (o2 == 0 and _in_box(d, a, b))
+            or (o3 == 0 and _in_box(a, c, d)) or (o4 == 0 and _in_box(b, c, d)))
+
+
 def _validate_simple(verts):
+    """Raise ValueError unless the vertices form a strictly simple polygon;
+    return twice its signed area, scaled by a positive square.
+
+    Runs on the integer points of the vertices.  Adjacent edges u-v, v-w
+    overlap exactly when they are collinear and w folds back towards u;
+    any other pair of edges must not touch at all.
+    """
     n = len(verts)
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-    if len(set(verts)) != n:
+    _, pts = _integer_points(verts)
+    if len(set(pts)) != n:
         raise ValueError("polygon has a repeated vertex")
-    edges = [Segment(verts[i], verts[(i + 1) % n]) for i in range(n)]
     for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
         for j in range(i + 1, n):
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            inter = segment_intersection(edges[i], edges[j])
-            if adjacent:
-                shared = verts[j] if j == i + 1 else verts[0]
-                if inter is None or inter.p != inter.q or inter.p != shared:
+            c, d = pts[j], pts[(j + 1) % n]
+            if j == i + 1 or (i == 0 and j == n - 1):
+                u, v, w = (a, b, d) if j == i + 1 else (c, a, b)
+                dot = (u[0] - v[0]) * (w[0] - v[0]) + (u[1] - v[1]) * (w[1] - v[1])
+                if dot > 0 and _cross(u, v, w) == 0:
                     raise ValueError(
                         f"polygon edges {i}-{(i + 1) % n} and {j}-{(j + 1) % n} overlap"
                     )
-            elif inter is not None:
+            elif _segments_touch(a, b, c, d):
                 raise ValueError(
                     f"polygon is not simple: edges {i}-{(i + 1) % n} and "
                     f"{j}-{(j + 1) % n} intersect"
                 )
-    if signed_area2(verts) == 0:
+    area2 = signed_area2(pts)
+    if area2 == 0:
         raise ValueError("polygon has zero area")
-
-
-def _in_closed_triangle(p, a, b, c):
-    # a, b, c counterclockwise
-    return _cross(a, b, p) >= 0 and _cross(b, c, p) >= 0 and _cross(c, a, p) >= 0
+    return area2
 
 
 def triangulate(p):
@@ -281,52 +292,53 @@ def triangulate(p):
     triangles tile the polygon and meet only along whole shared edges.
     Straight (collinear) vertices become convex as their neighbours are
     clipped away; a strictly simple polygon always offers such an ear.
+    Convexity and containment are decided on the polygon's integer points.
+
+    Every triangle but the last is an ear (u, v, w), in polygon order,
+    cut off along the diagonal u-w; the last is what remains.
     """
-    verts = list(p.vertices)
+    verts = p.vertices
+    _, pts = _integer_points(verts)
+    left = list(range(len(pts)))
     out = []
-    while len(verts) > 3:
-        n = len(verts)
-        for idx in range(n):
-            u, v, w = verts[idx - 1], verts[idx], verts[(idx + 1) % n]
+    while len(left) > 3:
+        n = len(left)
+        for k in range(n):
+            ear = left[k - 1], left[k], left[(k + 1) % n]
+            u, v, w = (pts[i] for i in ear)
             if _cross(u, v, w) <= 0:
                 continue
             if any(
-                _in_closed_triangle(z, u, v, w)
-                for z in verts
-                if z is not u and z is not v and z is not w
+                _cross(u, v, pts[z]) >= 0 and _cross(v, w, pts[z]) >= 0
+                and _cross(w, u, pts[z]) >= 0
+                for z in left
+                if z not in ear
             ):
                 continue
-            out.append(Triangle(u, v, w))
-            del verts[idx]
+            out.append(Triangle(*(verts[i] for i in ear)))
+            del left[k]
             break
         else:
             raise ValueError("ear clipping failed: polygon is not simple")
-    assert _cross(*verts) > 0
-    out.append(Triangle(*verts))
+    if _cross(*(pts[i] for i in left)) <= 0:
+        raise ValueError("ear clipping failed: polygon is not counterclockwise")
+    out.append(Triangle(*(verts[i] for i in left)))
     return out
 
 
 def polygon_count(p):
     """Integral points in a closed simple polygon.
 
-    Sum of the triangle counts of a triangulation, minus each internal
-    edge once per extra incidence: a diagonal is shared by two triangles,
-    so its points are double counted.  A polygon vertex lies in several
-    triangles only through the diagonals at it, so the diagonal correction
-    also attributes every vertex exactly once.
+    Sum of the triangle counts of a triangulation, minus the points of
+    each of its n - 3 diagonals, since a diagonal is shared by exactly two
+    triangles.  A polygon vertex lies in several triangles only through
+    the diagonals at it, so the diagonal correction also attributes every
+    vertex exactly once.
     """
     tris = triangulate(p)
-    total = 0
-    incidence = {}
-    for t in tris:
-        total += triangle_count(t)
-        v = t.vertices
-        for i in range(3):
-            key = tuple(sorted((v[i], v[(i + 1) % 3])))
-            incidence[key] = incidence.get(key, 0) + 1
-    for (a, b), inc in incidence.items():
-        if inc > 1:
-            total -= (inc - 1) * segment_count(Segment(a, b))
+    total = sum(triangle_count(t) for t in tris)
+    for t in tris[:-1]:
+        total -= segment_count(Segment(t.v1, t.v3))
     return total
 
 

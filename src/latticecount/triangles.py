@@ -35,6 +35,21 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _in_box(p, a, b):
+    """Is p in the closed axis-parallel box spanned by a and b?"""
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def _integer_points(points):
+    """(scale, points * scale) for scale the lcm of every coordinate
+    denominator: integer points with the same orientations, incidences
+    and coordinate order as the rational ones."""
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return scale, [(x.numerator * (scale // x.denominator),
+                    y.numerator * (scale // y.denominator)) for x, y in points]
+
+
 # ---------------------------------------------------------------------------
 # Quadrant triangles  a*x + b*y <= c,  x, y >= 0
 # ---------------------------------------------------------------------------
@@ -128,52 +143,8 @@ def quadrant_blocks(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# Lines and segments
+# Segments
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LineEq:
-    """The line a*x + b*y = c with integer coefficients, gcd(a, b, c) = 1
-    and the first nonzero of (a, b) positive."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a == 0 and self.b == 0:
-            raise ValueError("line with zero normal")
-        if gcd(self.a, self.b, self.c) != 1:
-            raise ValueError(f"line ({self.a}, {self.b}, {self.c}) not primitive")
-        first = self.a if self.a != 0 else self.b
-        if first < 0:
-            raise ValueError(f"line ({self.a}, {self.b}, {self.c}) has bad sign")
-
-    @classmethod
-    def normalized(cls, a, b, c):
-        """Build from rational coefficients: clear denominators, divide out
-        the common factor, fix the sign."""
-        a, b, c = Fraction(a), Fraction(b), Fraction(c)
-        scale = lcm(a.denominator, b.denominator, c.denominator)
-        ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
-        g = gcd(ai, bi, ci)
-        if g:
-            ai, bi, ci = ai // g, bi // g, ci // g
-        first = ai if ai != 0 else bi
-        if first < 0:
-            ai, bi, ci = -ai, -bi, -ci
-        return cls(ai, bi, ci)
-
-    @classmethod
-    def from_points(cls, p, q):
-        """The line through two distinct rational points."""
-        p, q = _as_point(p), _as_point(q)
-        if p == q:
-            raise ValueError("two distinct points are needed to define a line")
-        a = q[1] - p[1]
-        b = p[0] - q[0]
-        return cls.normalized(a, b, a * p[0] + b * p[1])
 
 
 @dataclass(frozen=True)
@@ -192,20 +163,16 @@ class Segment:
 def point_on_segment(point, seg):
     """Exact test: is the rational point on the closed segment?"""
     point = _as_point(point)
-    if _cross(seg.p, seg.q, point) != 0:
-        return False
-    xs = sorted((seg.p[0], seg.q[0]))
-    ys = sorted((seg.p[1], seg.q[1]))
-    return xs[0] <= point[0] <= xs[1] and ys[0] <= point[1] <= ys[1]
+    return _cross(seg.p, seg.q, point) == 0 and _in_box(point, seg.p, seg.q)
 
 
 def segment_count(seg):
     """Number of integral points on a closed segment.
 
     Axis-parallel segments use the floor/ceil span times the indicator
-    that the fixed coordinate is an integer.  A general segment lies on a
-    primitive integer line a*x + b*y = c; there are no integral points
-    unless gcd(a, b) = 1, in which case the solutions form an arithmetic
+    that the fixed coordinate is an integer.  A general segment lies on an
+    integer line a*x + b*y = c; there are no integral points unless
+    gcd(a, b) divides c, in which case the solutions form an arithmetic
     progression (found with the extended Euclid) clipped to the segment.
     """
     p, q = seg.p, seg.q
@@ -221,19 +188,22 @@ def segment_count(seg):
             return 0
         lo, hi = sorted((p[0], q[0]))
         return max(0, floor(hi) - ceil(lo) + 1)
-    line = LineEq.from_points(p, q)
-    if gcd(line.a, line.b) != 1:
-        # a primitive line with imprimitive normal never meets Z^2
+    scale, ((px, py), (qx, qy)) = _integer_points((p, q))
+    # the line a*x + b*y = c through p and q, on the unscaled coordinates
+    a, b = (qy - py) * scale, (px - qx) * scale
+    c = (qy - py) * px + (px - qx) * py
+    d = gcd(a, b)
+    if c % d:
         return 0
-    _, u, v = egcd(line.a, line.b)
-    x0 = u * line.c
-    # solutions are (x0 + t*b, y0 - t*a); clip x to the segment's x-range
-    lo, hi = sorted((p[0], q[0]))
-    if line.b > 0:
-        t_lo, t_hi = Fraction(lo - x0, line.b), Fraction(hi - x0, line.b)
-    else:
-        t_lo, t_hi = Fraction(hi - x0, line.b), Fraction(lo - x0, line.b)
-    return max(0, floor(t_hi) - ceil(t_lo) + 1)
+    if b < 0:
+        d = -d
+    a, b, c = a // d, b // d, c // d
+    _, u, _ = egcd(a, b)
+    # solutions are x = u*c + t*b, t integer, b > 0; clip scale*x to the
+    # segment's scaled x-range
+    lo, hi = sorted((px, qx))
+    step, x0 = scale * b, scale * u * c
+    return max(0, (hi - x0) // step + (x0 - lo) // step + 1)
 
 
 def segment_intersection(s, t):

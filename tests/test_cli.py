@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -206,6 +207,36 @@ def test_oracle_budget_flag(capsys):
     assert code == 0 and json.loads(out.strip())["agreed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["denumerant", "3", "7", "46"],
+    ["denumerant3", "3", "5", "7", "10"],
+    ["semigroup", "3", "7"],
+    ["semigroup", "3", "7", "--gaps"],
+    ["semigroup", "3", "7", "--apery", "3"],
+])
+def test_oracle_budget_bounds_every_oracle(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--check", "--oracle-budget", "10")
+    assert code == 1
+    assert out == ""
+    assert "exceeding the budget 10" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["thr", "3"], 1),
+    (["frobnicate"], 1),
+    (["-h"], 0),
+    (["rect", "--help"], 0),
+])
+def test_run_writes_argparse_output_to_its_streams(capsys, argv, code):
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(argv, out, err) == code
+    written, silent = (out, err) if code == 0 else (err, out)
+    assert written.getvalue().startswith("usage: latticecount")
+    assert silent.getvalue() == ""
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+
+
 def test_unknown_subcommand_is_input_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate", "1")
     assert code == 1
@@ -379,6 +410,20 @@ def test_golden_output(capsys, tmp_path, line, expected):
     code, out, _ = run_cli(capsys, *_argv(line, tmp_path))
     assert code == 0
     assert out == expected
+
+
+def test_golden_geometry_without_asserts(tmp_path):
+    """python -O strips assert statements: the geometry must not rely on
+    them, so the golden tri, rtri, poly and pick cases print the same."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for line, expected in GOLDEN:
+        if line.split()[0] not in ("tri", "rtri", "poly", "pick"):
+            continue
+        result = subprocess.run([sys.executable, "-O", "-m", "latticecount.cli",
+                                 *_argv(line, tmp_path)],
+                                env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, expected), line
 
 
 @pytest.mark.parametrize("line", INPUT_ERRORS)

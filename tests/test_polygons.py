@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from corpus import (
     CASE_GENERATORS,
     apply_symmetry,
+    rand_point,
     rand_tri_degenerate,
     rand_triangle_any,
     random_simple_polygon,
@@ -115,6 +117,97 @@ def test_polygon_validation():
     with pytest.raises(ValueError, match="intersect"):
         # vertex of one edge lying on a non-incident edge
         Polygon(((0, 0), (4, 0), (4, 4), (2, 0)))
+
+
+# A vertex at (1/3, 1/3) lies exactly on the edge (0, 0)-(1, 1) of this
+# hexagon; the same vertex moved 1/1000 to the left does not.
+_ON_EDGE = ((0, 0), (1, 1), (1, 3), (-1, 3), (F(1, 3), F(1, 3)), (-1, 0))
+_OFF_EDGE = ((0, 0), (1, 1), (1, 3), (-1, 3), (F(1, 3) - F(1, 1000), F(1, 3)), (-1, 0))
+
+
+def test_polygon_validation_exact_incidences():
+    with pytest.raises(ValueError, match="edges 0-1 and 3-4 intersect"):
+        Polygon(_ON_EDGE)
+    poly = Polygon(_OFF_EDGE)
+    assert polygon_count(poly) == brute_polygon(poly) == 9
+    # (7/6, 1/6) is the midpoint of the first edge: the second edge folds back
+    with pytest.raises(ValueError, match="edges 0-1 and 1-2 overlap"):
+        Polygon(((0, 0), (F(7, 3), F(1, 3)), (F(7, 6), F(1, 6)), (0, F(5, 2))))
+
+
+def test_polygon_mixed_denominators():
+    # (3/16, 5/6) is the midpoint of the edge (0, 0)-(3/8, 5/3)
+    with pytest.raises(ValueError, match="edges 0-1 and 2-3 intersect"):
+        Polygon(((0, 0), (F(3, 8), F(5, 3)), (F(-7, 5), F(9, 4)), (F(3, 16), F(5, 6)),
+                 (F(-11, 13), F(-1, 7))))
+    poly = Polygon(((F(1, 16), 0), (F(15, 2), F(1, 3)), (F(29, 4), F(37, 5)),
+                    (F(13, 11), F(55, 9)), (F(-3, 7), F(50, 13)), (F(-5, 12), F(1, 15)),
+                    (F(1, 6), F(-7, 10))))
+    assert polygon_count(poly) == brute_polygon(poly) == 48
+
+
+def _outcome(vertices):
+    """The validation message, or the triangles as index triples into the
+    stored vertices."""
+    try:
+        poly = Polygon(vertices)
+    except ValueError as exc:
+        return str(exc)
+    index = {v: i for i, v in enumerate(poly.vertices)}
+    return [tuple(index[v] for v in t.vertices) for t in triangulate(poly)]
+
+
+def test_validation_and_triangulation_scale_invariant():
+    rng = random.Random(2024)
+    cases = [_ON_EDGE, _OFF_EDGE]
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        cases.append(random_simple_polygon(rng, n, integral=False).vertices)
+        cases.append(tuple(rand_point(rng) for _ in range(n)))  # mostly not simple
+    seen = set()
+    for vertices in cases:
+        base = _outcome(vertices)
+        seen.add(isinstance(base, str))
+        for k in (2, 3, 16, 1001):
+            assert _outcome(tuple((F(x) / k, F(y) / k) for x, y in vertices)) == base
+    assert seen == {True, False}
+
+
+def test_polygon_count_lattice_invariant():
+    rng = random.Random(55)
+    for _ in range(12):
+        poly = random_simple_polygon(rng, rng.randint(3, 8), integral=False)
+        base = polygon_count(poly)
+        assert base == brute_polygon(poly), poly.vertices
+        dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
+        moved = Polygon(tuple((x + dx, y + dy) for x, y in poly.vertices))
+        assert polygon_count(moved) == base
+        for sx in (1, -1):
+            for sy in (1, -1):
+                for swap in (False, True):
+                    pts = [(sx * x, sy * y) for x, y in poly.vertices]
+                    if swap:
+                        pts = [(y, x) for x, y in pts]
+                    assert polygon_count(Polygon(tuple(pts))) == base
+
+
+def test_triangulation_diagonals():
+    rng = random.Random(99)
+    for _ in range(30):
+        poly = random_simple_polygon(rng, rng.randint(3, 12), integral=rng.random() < 0.5)
+        n = len(poly.vertices)
+        edges = {frozenset((poly.vertices[i], poly.vertices[(i + 1) % n])) for i in range(n)}
+        tris = triangulate(poly)
+        diagonals = [frozenset((t.v1, t.v3)) for t in tris[:-1]]
+        assert len(diagonals) == n - 3
+        assert len(set(diagonals)) == n - 3
+        assert not edges & set(diagonals)
+
+
+def test_triangulate_rejects_clockwise_input():
+    cw = SimpleNamespace(vertices=((F(0), F(0)), (F(0), F(1)), (F(1), F(0))))
+    with pytest.raises(ValueError, match="counterclockwise"):
+        triangulate(cw)
 
 
 def test_polygon_orientation_normalized():

@@ -16,7 +16,6 @@ from latticecount.triangles import (
     HYPOTENUSE,
     LEG_X,
     LEG_Y,
-    LineEq,
     Segment,
     StableRightTriangle,
     point_on_segment,
@@ -129,27 +128,7 @@ def test_rect_count_rejects_reversed_bounds():
         rect_count((1, 0), (0, 1))
 
 
-# --- lines and segments --------------------------------------------------------
-
-
-def test_line_normalization():
-    line = LineEq.from_points((0, 0), (6, 4))
-    assert (line.a, line.b, line.c) == (2, -3, 0)
-    line = LineEq.from_points((F(1, 2), 0), (F(5, 2), 2))
-    assert (line.a, line.b, line.c) == (2, -2, 1)
-    line = LineEq.from_points((0, F(7, 2)), (0, 0))
-    assert (line.a, line.b, line.c) == (1, 0, 0)
-
-
-def test_line_invariants_enforced():
-    with pytest.raises(ValueError):
-        LineEq(0, 0, 1)
-    with pytest.raises(ValueError):
-        LineEq(2, 4, 6)  # not primitive
-    with pytest.raises(ValueError):
-        LineEq(-1, 2, 3)  # sign convention
-    with pytest.raises(ValueError):
-        LineEq.from_points((1, 1), (1, 1))
+# --- segments -----------------------------------------------------------------
 
 
 def test_segment_count_examples():

@@ -14,10 +14,10 @@ from .triangles import (
     BlockTrace,
     Segment,
     StableRightTriangle,
+    floor_sum,
     point_on_segment,
     quadrant_blocks,
     quadrant_count,
-    quadrant_count_floor_form,
     rect_count,
     segment_count,
     segment_intersection,
@@ -59,8 +59,8 @@ __all__ = [
     "HYPOTENUSE",
     "LEG_X",
     "LEG_Y",
+    "floor_sum",
     "quadrant_count",
-    "quadrant_count_floor_form",
     "quadrant_blocks",
     "rect_count",
     "segment_count",

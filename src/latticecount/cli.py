@@ -22,6 +22,7 @@ from typing import Callable
 from . import oracle
 from .polygons import (
     Triangle,
+    diagonal_points,
     pick_audit,
     polygon_count,
     polygon_from_text,
@@ -131,9 +132,16 @@ def _rtri_trace(tri, parts):
     return trace
 
 
-def _poly_trace(poly):
+def _poly_count_and_trace(poly):
     tris = triangulate(poly)
-    return {"triangles": len(tris), "triangle_counts": _strs(triangle_count(t) for t in tris)}
+    counts = [triangle_count(t) for t in tris]
+    return (sum(counts) - diagonal_points(tris),
+            {"triangles": len(tris), "triangle_counts": _strs(counts)})
+
+
+def _tetra_count_and_trace(a1, a2, a3, b):
+    slices = tetra_slice_counts(a1, a2, a3, b)
+    return sum(slices), {"slices": _strs(slices)}
 
 
 def _pick_trace(poly, audit):
@@ -193,7 +201,10 @@ class Subcommand:
     with the subject unpacked (`oracle` also with the keyword `budget`).
     The callables look library and oracle functions up when they run, not
     at import, so patching a module global reaches them.  `trace` is shown
-    under --trace, or always when `always_trace` is set.
+    under --trace, or always when `always_trace` is set.  A row whose count
+    and trace come from the same work sets `count_and_trace` instead of
+    `trace`: it returns (count, trace) from one pass and replaces `count`
+    when the trace is shown.
     """
 
     name: str
@@ -205,6 +216,7 @@ class Subcommand:
     oracle: Callable
     make: Callable = lambda args, *values: values
     trace: Callable | None = None
+    count_and_trace: Callable | None = None
     always_trace: bool = False
     options: Callable | None = None
 
@@ -258,7 +270,7 @@ SUBCOMMANDS = (
         ("file",), "_read_polygon",
         count=lambda poly: polygon_count(poly),
         shape=lambda poly: f"poly(n={len(poly.vertices)})",
-        trace=_poly_trace,
+        count_and_trace=_poly_count_and_trace,
         oracle=lambda poly, budget: oracle.brute_polygon(poly, budget=budget),
     ),
     Subcommand(
@@ -266,7 +278,7 @@ SUBCOMMANDS = (
         ("a1", "a2", "a3", "b"), "parse_int",
         count=lambda a1, a2, a3, b: tetra_count(a1, a2, a3, b),
         shape=lambda a1, a2, a3, b: f"tetra({a1}, {a2}, {a3}; {b})",
-        trace=lambda a1, a2, a3, b: {"slices": _strs(tetra_slice_counts(a1, a2, a3, b))},
+        count_and_trace=_tetra_count_and_trace,
         oracle=lambda a1, a2, a3, b, budget: oracle.brute_tetra(a1, a2, a3, b, budget=budget),
     ),
     Subcommand(
@@ -353,9 +365,14 @@ def run(argv, out=None, err=None):
     try:
         parse = globals()[row.parse]
         subject = row.make(args, *(parse(getattr(args, name)) for name in row.args))
-        report = CountReport(row.shape(*subject), row.count(*subject))
-        if row.trace and (args.trace or row.always_trace):
-            report.trace = row.trace(*subject)
+        shape = row.shape(*subject)
+        shown = args.trace or row.always_trace
+        if shown and row.count_and_trace:
+            report = CountReport(shape, *row.count_and_trace(*subject))
+        else:
+            report = CountReport(shape, row.count(*subject))
+            if shown and row.trace:
+                report.trace = row.trace(*subject)
         if args.check:
             report.oracle = row.oracle(*subject, budget=args.oracle_budget)
             report.agreed = report.count == report.oracle

@@ -1,9 +1,11 @@
 """Naive brute-force counters used as ground truth.
 
 Every counter here enumerates lattice points of a bounding region and
-tests membership with plain comparisons and exact rational sign tests.
-Nothing in this module shares code with the closed-form counters; that
-independence is what makes the equivalence tests meaningful.
+tests membership with plain comparisons and exact rational sign tests,
+except quadrant_count_floor_form, which sums the quadrant count's partial
+strip one column at a time.  Nothing in this module shares code with the
+closed-form counters; that independence is what makes the equivalence
+tests meaningful.
 
 Enumeration refuses regions with more cells than a budget (a named
 constant, overridable per call and from the CLI) so that accidental huge
@@ -11,7 +13,7 @@ inputs fail fast instead of spinning.
 """
 
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
@@ -69,6 +71,29 @@ def brute_halfplane_quadrant(a, b, c, budget=DEFAULT_CELL_BUDGET):
             count += 1
             y += 1
     return count
+
+
+def quadrant_count_floor_form(a, b, c, budget=DEFAULT_CELL_BUDGET):
+    """Count (x, y) >= 0 with a*x + b*y <= c for coprime a, b by the strip
+    decomposition summed term by term: with k = floor(c/(a*b)), the k full
+    strips of width max(a, b) in closed form, then one summand per column
+    of the partial strip, every remainder spelled c - k*a*b.  The library
+    sums the partial strip with a floor-sum reduction instead, so the two
+    can be checked against each other far past the reach of the double
+    loop.  The budget bounds the partial-strip columns.
+    """
+    if a < 1 or b < 1 or gcd(a, b) != 1:
+        raise ValueError(f"coefficients must be coprime positive integers, got ({a}, {b})")
+    if c < 0:
+        return 0
+    if a > b:
+        a, b = b, a
+    k = c // (a * b)
+    _check_budget((c - k * a * b) // b + 1, budget)
+    total = (-(a * b) * k * k + (a + b + 1 + 2 * c) * k) // 2
+    for i in range((c - k * a * b) // b + 1):
+        total += (c - k * a * b - i * b) // a + 1
+    return total
 
 
 def brute_rect(lo, hi, budget=DEFAULT_CELL_BUDGET):

@@ -336,10 +336,14 @@ def polygon_count(p):
     vertex exactly once.
     """
     tris = triangulate(p)
-    total = sum(triangle_count(t) for t in tris)
-    for t in tris[:-1]:
-        total -= segment_count(Segment(t.v1, t.v3))
-    return total
+    return sum(triangle_count(t) for t in tris) - diagonal_points(tris)
+
+
+def diagonal_points(tris):
+    """Integral points on the n - 3 diagonals of a triangulation made by
+    triangulate, each triangle but the last being an ear (u, v, w) cut off
+    along u-w."""
+    return sum(segment_count(Segment(t.v1, t.v3)) for t in tris[:-1])
 
 
 PickAudit = namedtuple("PickAudit", ["area", "interior", "boundary", "holds"])

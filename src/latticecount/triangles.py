@@ -9,10 +9,13 @@ the axes.  The workhorse is the quadrant count
 for coprime positive integers a, b, evaluated by splitting the triangle
 into vertical strips of width max(a, b) and counting each strip through
 the semigroup <a, b>: full strips have the closed-form size
-(a + b + 1 - (1 + 2i)*a*b)/2 + c, and the last partial strip is the
-Apery-set sum of floors.  Everything else (rational vertices, legs of
-rational length, non-coprime coefficients) reduces to this count by
-exact, lattice-preserving steps.
+(a + b + 1 - (1 + 2i)*a*b)/2 + c, summed over all k full strips at once
+by full_strips, and the last partial strip is the Apery-set sum of
+floors.  That sum is one floor_sum, the Euclid-like reduction of
+sum_{i<n} floor((a*i + b)/m), so a count costs O(log min(a, b))
+arithmetic steps on integers of the input's size.  Everything else
+(rational vertices, legs of rational length, non-coprime coefficients)
+reduces to this count by exact, lattice-preserving steps.
 """
 
 from dataclasses import dataclass
@@ -62,46 +65,56 @@ def _check_generators(a, b):
         raise ValueError(f"coefficients must be coprime, got ({a}, {b})")
 
 
+def floor_sum(n, m, a, b):
+    """sum_{0 <= i < n} floor((a*i + b) / m) for n >= 0 and m >= 1.
+
+    The Euclid-like reduction behind reciprocity for Dedekind sums (Beck
+    and Robins, Computing the Continuous Discretely, ch. 8): split off the
+    integer parts a//m and b//m in closed form, then count the remaining
+    lattice points under the line with the axes swapped, which replaces
+    (m, a) by (a, m mod a).  The loop runs O(log m) times; a and b may be
+    any integers.
+    """
+    if n < 0 or m < 1:
+        raise ValueError(f"floor_sum needs n >= 0 and m >= 1, got n={n}, m={m}")
+    total = 0
+    while True:
+        if not 0 <= a < m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if not 0 <= b < m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def full_strips(a, b, k, c):
+    """Lattice points of a*x + b*y <= c, x, y >= 0, in the first k vertical
+    strips of width max(a, b): the sum over i < k of the closed-form strip
+    size (a + b + 1 - (1 + 2i)*a*b)/2 + c, for coprime a, b."""
+    return k * (a + b + 1 + 2 * c - a * b * k) // 2
+
+
 def quadrant_count(a, b, c):
     """Count (x, y) in Z^2 with x, y >= 0 and a*x + b*y <= c.
 
     Requires a, b >= 1 coprime; c may be any integer (c < 0 gives 0).
-    Uses the Euclidean division c = q*a*b + r with 0 <= r < a*b.  The
-    count is symmetric in (a, b); internally b is the larger coefficient
-    so the trailing sum has at most min(a, b) terms.
+    With b the larger coefficient and c = k*a*b + r, 0 <= r < a*b, the
+    count is the k full strips in closed form plus the partial strip,
+    sum_{i <= r//b} ((r - i*b)//a + 1), which is one floor_sum.
     """
     _check_generators(a, b)
     if c < 0:
         return 0
     if a > b:
         a, b = b, a
-    q, r = divmod(c, a * b)
-    quad = -(a * b) * q * q + (a + b + 1 + 2 * c) * q
-    assert quad % 2 == 0
-    total = quad // 2
-    for i in range(r // b + 1):
-        total += (r - i * b) // a + 1
-    return total
-
-
-def quadrant_count_floor_form(a, b, c):
-    """Same count as quadrant_count, written with k = floor(c/(a*b)) and
-    every occurrence of the remainder spelled as c - k*a*b.  Kept as an
-    independently coded twin so the two shapes of the formula can be
-    checked against each other.
-    """
-    _check_generators(a, b)
-    if c < 0:
-        return 0
-    if a > b:
-        a, b = b, a
-    k = c // (a * b)
-    quad = -(a * b) * k * k + (a + b + 1 + 2 * c) * k
-    assert quad % 2 == 0
-    total = quad // 2
-    for i in range((c - k * a * b) // b + 1):
-        total += (c - k * a * b - i * b) // a + 1
-    return total
+    k, r = divmod(c, a * b)
+    n = r // b + 1
+    return full_strips(a, b, k, c) + n + floor_sum(n, a, b, r % b)
 
 
 @dataclass(frozen=True)
@@ -130,12 +143,7 @@ def quadrant_blocks(a, b, c):
     if a > b:
         a, b = b, a
     k = c // (a * b)
-    blocks = []
-    for i in range(k):
-        num = a + b + 1 - (1 + 2 * i) * a * b
-        # coprime a, b are not both even, so the numerator is always even
-        assert num % 2 == 0
-        blocks.append(num // 2 + c)
+    blocks = [full_strips(a, b, i + 1, c) - full_strips(a, b, i, c) for i in range(k)]
     r = c - k * a * b
     tail = tuple((r - i * b) // a + 1 for i in range(r // b + 1))
     blocks.append(sum(tail))

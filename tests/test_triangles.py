@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -9,8 +10,9 @@ from latticecount.oracle import (
     brute_halfplane_quadrant,
     brute_segment,
     brute_triangle,
+    quadrant_count_floor_form,
 )
-from latticecount.polygons import Triangle
+from latticecount.polygons import Triangle, triangle_count
 from latticecount.semigroup import TwoGenSemigroup, denumerant2
 from latticecount.triangles import (
     HYPOTENUSE,
@@ -18,10 +20,10 @@ from latticecount.triangles import (
     LEG_Y,
     Segment,
     StableRightTriangle,
+    floor_sum,
     point_on_segment,
     quadrant_blocks,
     quadrant_count,
-    quadrant_count_floor_form,
     rect_count,
     segment_count,
     segment_intersection,
@@ -62,6 +64,58 @@ def test_quadrant_count_against_brute_force():
             assert quadrant_count(a, b, c) == expected
             assert quadrant_count_floor_form(a, b, c) == expected
             assert quadrant_count(b, a, c) == expected  # symmetry
+
+
+def test_floor_sum_against_direct_sum():
+    rng = random.Random(4040)
+    cases = [(0, 1, 0, 0), (0, 7, 5, 3), (5, 3, 0, 0), (5, 3, 0, 7), (6, 4, 9, 0),
+             (6, 4, 9, 13), (1, 1, 1, 1), (9, 5, -7, -3), (40, 1, 3, 2)]
+    cases += [(rng.randint(0, 40), rng.randint(1, 50), rng.randint(-200, 200),
+               rng.randint(-200, 200)) for _ in range(3000)]
+    for n, m, a, b in cases:
+        assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+
+
+def test_floor_sum_large_arguments():
+    rng = random.Random(4041)
+    for _ in range(200):
+        n, m = rng.randint(0, 2000), rng.randint(1, 10**12)
+        a, b = rng.randint(0, 10**15), rng.randint(0, 10**15)
+        assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@pytest.mark.parametrize("n, m", [(-1, 5), (3, 0), (3, -2)])
+def test_floor_sum_rejects_bad_range(n, m):
+    with pytest.raises(ValueError):
+        floor_sum(n, m, 1, 1)
+
+
+def test_quadrant_count_against_term_by_term_twin():
+    """Far past the double loop: coprime coefficients up to 1e5, bounds up
+    to 1e10 and past it, against the oracle's partial strip summed term
+    by term."""
+    rng = random.Random(4042)
+    checked = 0
+    while checked < 400:
+        a, b = rng.randint(1, 10**5), rng.randint(1, 10**5)
+        if gcd(a, b) != 1:
+            continue
+        c = rng.choice([rng.randint(0, 10**10), rng.randint(0, 3 * a * b),
+                        rng.randint(0, a * b) + a * b * rng.randint(0, 50)])
+        assert quadrant_count(a, b, c) == quadrant_count_floor_form(a, b, c), (a, b, c)
+        checked += 1
+
+
+def test_quadrant_count_roadmap_anchors():
+    assert quadrant_count(1000001, 1000003, 6000022000016) == 18000066000057
+    t = Triangle((F(1, 3), F(-7, 5)), (F(10**9, 7), F(3, 11)), (F(5, 2), F(10**9, 13)))
+    assert triangle_count(t) == 5494505582971353
+    best = float("inf")
+    for _ in range(5):
+        t0 = time.perf_counter()
+        triangle_count(t)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.01, f"the 1e9 triangle took {best:.4f}s"
 
 
 def test_quadrant_count_monotone_in_bound():

@@ -5,7 +5,7 @@ All arithmetic is exact (unbounded ints and fractions); every counter has
 an independent brute-force twin in latticecount.oracle.
 """
 
-from .rationals import egcd, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .semigroup import TwoGenSemigroup, denumerant2
 from .triangles import (
     HYPOTENUSE,
@@ -15,12 +15,10 @@ from .triangles import (
     Segment,
     StableRightTriangle,
     floor_sum,
-    point_on_segment,
     quadrant_blocks,
     quadrant_count,
     rect_count,
     segment_count,
-    segment_intersection,
     stable_right_count,
     stable_right_reduction,
 )
@@ -48,7 +46,6 @@ from . import oracle
 __version__ = "0.1.0"
 
 __all__ = [
-    "egcd",
     "parse_rational",
     "format_rational",
     "TwoGenSemigroup",
@@ -64,8 +61,6 @@ __all__ = [
     "quadrant_blocks",
     "rect_count",
     "segment_count",
-    "segment_intersection",
-    "point_on_segment",
     "stable_right_count",
     "stable_right_reduction",
     "Triangle",

@@ -352,7 +352,20 @@ def build_parser():
 def run(argv, out=None, err=None):
     """Run the CLI; returns the exit code (0 ok, 1 input error, 2 oracle
     disagreement).  Everything, argparse's help and usage errors included,
-    is written to out and err (default: the process streams)."""
+    is written to out and err (default: the process streams).  Inputs and
+    counts of any length convert: the interpreter's int <-> str digit
+    limit is lifted for the call, and the caller's limit restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
+        return _run(argv, out, err)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv, out, err)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv, out, err):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()

@@ -1,4 +1,4 @@
-"""Exact integer and rational arithmetic primitives.
+"""The text format of exact integers and rationals.
 
 Everything in this package runs on Python's unbounded ints and on
 fractions.Fraction (always stored in lowest terms with a positive
@@ -12,28 +12,6 @@ import re
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+/\d+|\d+)\Z")
-
-
-def egcd(a, b):
-    """Extended Euclid: return (g, u, v) with g = gcd(a, b) > 0 and a*u + b*v = g.
-
-    Both inputs zero is rejected; negative inputs are fine.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("egcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    # Bezout identity must hold exactly on every call.
-    assert a * old_u + b * old_v == old_r
-    return old_r, old_u, old_v
 
 
 def parse_rational(text):

@@ -15,8 +15,6 @@ of c as x*a + y*b with x, y >= 0).
 from dataclasses import dataclass, field
 from math import gcd
 
-from .rationals import egcd
-
 
 @dataclass(frozen=True)
 class TwoGenSemigroup:
@@ -51,10 +49,7 @@ class TwoGenSemigroup:
     def _min_in_class(self, n):
         # least semigroup element congruent to n modulo a
         a, b = self.a, self.b
-        if a == 1:
-            return 0
-        _, u, _ = egcd(b % a, a)  # u inverts b mod a (gcd is 1)
-        i = (n % a) * u % a
+        i = (n % a) * pow(b, -1, a) % a
         return i * b
 
     def contains(self, n):
@@ -93,24 +88,16 @@ class TwoGenSemigroup:
         in (0, b] and (0, a]: when the residue is 0 the representative
         a' = b (resp. b' = a) is the one that makes the formula exact,
         matching the fractional-part statement of the theorem.  A
-        generator equal to 1 degenerates the congruences, so those cases
-        are counted directly.
+        generator equal to 1 needs no special case: modulo 1 the residue
+        is 0, and its representative 1 keeps the formula exact.
         """
         if c < 0:
             return 0
         a, b = self.a, self.b
-        if a == 1 and b == 1:
-            return c + 1
-        if a == 1:
-            return c // b + 1
-        if b == 1:
-            return c // a + 1
-        _, u, _ = egcd(a % b, b)
-        ap = (-c % b) * u % b
+        ap = (-c % b) * pow(a, -1, b) % b
         if ap == 0:
             ap = b
-        _, u, _ = egcd(b % a, a)
-        bp = (-c % a) * u % a
+        bp = (-c % a) * pow(b, -1, a) % a
         if bp == 0:
             bp = a
         num = c + a * ap + b * bp

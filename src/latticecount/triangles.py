@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
-from .rationals import egcd
-
 
 def _as_point(p):
     x, y = p
@@ -168,12 +166,6 @@ class Segment:
         object.__setattr__(self, "q", _as_point(self.q))
 
 
-def point_on_segment(point, seg):
-    """Exact test: is the rational point on the closed segment?"""
-    point = _as_point(point)
-    return _cross(seg.p, seg.q, point) == 0 and _in_box(point, seg.p, seg.q)
-
-
 def segment_count(seg):
     """Number of integral points on a closed segment.
 
@@ -181,7 +173,7 @@ def segment_count(seg):
     that the fixed coordinate is an integer.  A general segment lies on an
     integer line a*x + b*y = c; there are no integral points unless
     gcd(a, b) divides c, in which case the solutions form an arithmetic
-    progression (found with the extended Euclid) clipped to the segment.
+    progression (through the inverse of a mod b) clipped to the segment.
     """
     p, q = seg.p, seg.q
     if p == q:
@@ -206,36 +198,11 @@ def segment_count(seg):
     if b < 0:
         d = -d
     a, b, c = a // d, b // d, c // d
-    _, u, _ = egcd(a, b)
-    # solutions are x = u*c + t*b, t integer, b > 0; clip scale*x to the
-    # segment's scaled x-range
+    # solutions are x = c/a (mod b) plus t*b, t integer, b > 0; clip
+    # scale*x to the segment's scaled x-range
     lo, hi = sorted((px, qx))
-    step, x0 = scale * b, scale * u * c
+    step, x0 = scale * b, scale * (c * pow(a, -1, b) % b)
     return max(0, (hi - x0) // step + (x0 - lo) // step + 1)
-
-
-def segment_intersection(s, t):
-    """Intersection of two closed segments as a Segment (possibly a single
-    point), or None when they are disjoint.  All arithmetic is exact."""
-    if s.p == s.q:
-        return Segment(s.p, s.p) if point_on_segment(s.p, t) else None
-    if t.p == t.q:
-        return Segment(t.p, t.p) if point_on_segment(t.p, s) else None
-    d1 = (s.q[0] - s.p[0], s.q[1] - s.p[1])
-    d2 = (t.q[0] - t.p[0], t.q[1] - t.p[1])
-    denom = d1[0] * d2[1] - d1[1] * d2[0]
-    if denom == 0:
-        if _cross(s.p, s.q, t.p) != 0:
-            return None  # parallel, different lines
-        lo = max(min(s.p, s.q), min(t.p, t.q))
-        hi = min(max(s.p, s.q), max(t.p, t.q))
-        # lexicographic order agrees with the order along a common line
-        return Segment(lo, hi) if lo <= hi else None
-    u = ((t.p[0] - s.p[0]) * d2[1] - (t.p[1] - s.p[1]) * d2[0]) / denom
-    point = (s.p[0] + u * d1[0], s.p[1] + u * d1[1])
-    if point_on_segment(point, s) and point_on_segment(point, t):
-        return Segment(point, point)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +268,22 @@ class StableRightTriangle:
 
     def boundary_segments(self, parts):
         """The segments of the named boundary parts, in the order
-        hypotenuse, leg_x, leg_y; each part is named after its property.
-        An unknown name raises ValueError."""
-        parts = frozenset(parts)
-        bad = parts - _BOUNDARY_PARTS
-        if bad:
-            raise ValueError(f"unknown boundary parts {sorted(bad)}")
+        hypotenuse, leg_x, leg_y; each part is named after its property."""
+        parts = _boundary_parts(parts)
         return [getattr(self, part) for part in (HYPOTENUSE, LEG_X, LEG_Y) if part in parts]
 
 
-def stable_right_reduction(t):
+def _boundary_parts(names):
+    """The boundary part names as a frozenset; an unknown name raises
+    ValueError."""
+    parts = frozenset(names)
+    bad = parts - _BOUNDARY_PARTS
+    if bad:
+        raise ValueError(f"unknown boundary parts {sorted(bad)}")
+    return parts
+
+
+def stable_right_reduction(t, exclude=()):
     """Reduce a stable right triangle to a primitive counting problem.
 
     Returns one of
@@ -319,14 +292,21 @@ def stable_right_reduction(t):
         ("quadrant", (a, b, c)) lattice count equals quadrant_count(a, b, c)
 
     The quadrant reduction: reflect (x -> -x and/or y -> -y preserve the
-    lattice) so the right-angle corner is the componentwise minimum; lift
-    the corner to its componentwise ceiling (no lattice points change
-    side of the hypotenuse); translate the corner to the origin; clear
-    denominators of the hypotenuse inequality and divide out
-    gcd(a, b, c).  If d = gcd(a, b) is still > 1 then gcd(d, c) = 1, so no
-    lattice value of a*x + b*y lands in (d*floor(c/d), c] and the bound
-    may be floored down to d*floor(c/d) and divided through by d.
+    lattice) so the right-angle corner (alpha, beta) is the componentwise
+    minimum and the triangle is x >= alpha, y >= beta, a*x + b*y <= c;
+    lift the corner to the least lattice point of the quadrant, which
+    moves no lattice point across the hypotenuse; translate that point to
+    the origin; clear denominators.  With d = gcd(a, b), the lattice
+    values of a*x + b*y are multiples of d, so the bound may be floored
+    to d*floor(c/d) and everything divided by d.
+
+    exclude names boundary parts ("hypotenuse", "leg_x", "leg_y") to
+    leave out, which makes their inequalities strict: without leg_y the
+    corner lifts to x0 = floor(alpha) + 1 instead of ceil(alpha), without
+    leg_x to y0 = floor(beta) + 1, and without the hypotenuse the cleared
+    bound c becomes c - 1.  A point or a segment is returned closed.
     """
+    exclude = _boundary_parts(exclude)
     alpha, beta = t.corner
     delta = t.x_vertex[0]
     gamma = t.y_vertex[1]
@@ -343,49 +323,34 @@ def stable_right_reduction(t):
     ar = gamma - beta
     br = delta - alpha
     cr = ar * delta + br * beta
-    c_shift = cr - ar * ceil(alpha) - br * ceil(beta)
+    x0 = floor(alpha) + 1 if LEG_Y in exclude else ceil(alpha)
+    y0 = floor(beta) + 1 if LEG_X in exclude else ceil(beta)
+    c_shift = cr - ar * x0 - br * y0
     scale = lcm(ar.denominator, br.denominator, c_shift.denominator)
     a, b, c = int(ar * scale), int(br * scale), int(c_shift * scale)
-    g = gcd(a, b, c)
-    if g > 1:
-        a, b, c = a // g, b // g, c // g
+    if HYPOTENUSE in exclude:
+        c -= 1
     d = gcd(a, b)
-    if d > 1:
-        a, b, c = a // d, b // d, c // d  # floor division is the parallel shift
-    return ("quadrant", (a, b, c))
+    return ("quadrant", (a // d, b // d, c // d))
 
 
 def stable_right_count(t, exclude=()):
     """Integral points in a closed stable right triangle.
 
-    exclude may list boundary parts ("hypotenuse", "leg_x", "leg_y") whose
-    lattice points are removed from the closed count; points shared by two
-    excluded parts (the triangle corners) are subtracted once only, via
-    inclusion-exclusion over the excluded segments.
+    exclude may list boundary parts ("hypotenuse", "leg_x", "leg_y") to
+    leave out of the count; each makes its inequality strict inside
+    stable_right_reduction, so the count is one quadrant_count whatever
+    the exclusion.  A degenerate triangle is a point or a segment from
+    the corner: its hypotenuse and its long leg are all of it, and its
+    short leg is the corner.
     """
-    segs = t.boundary_segments(exclude)
-    kind, data = stable_right_reduction(t)
-    if kind == "point":
-        closed = 1 if _is_integral(data) else 0
-    elif kind == "segment":
-        closed = segment_count(data)
-    else:
-        closed = quadrant_count(*data)
-    return closed - _union_count(segs)
-
-
-def _union_count(segs):
-    """Lattice points covered by the union of up to three segments."""
-    total = sum(segment_count(s) for s in segs)
-    pairs = {}
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            inter = segment_intersection(segs[i], segs[j])
-            pairs[(i, j)] = inter
-            if inter is not None:
-                total -= segment_count(inter)
-    if len(segs) == 3 and pairs[(0, 1)] is not None:
-        inter = segment_intersection(pairs[(0, 1)], segs[2])
-        if inter is not None:
-            total += segment_count(inter)
-    return total
+    exclude = _boundary_parts(exclude)
+    kind, data = stable_right_reduction(t, exclude)
+    if kind == "quadrant":
+        return quadrant_count(*data)
+    vertical = t.x_vertex == t.corner
+    long_leg, short_leg = (LEG_Y, LEG_X) if vertical else (LEG_X, LEG_Y)
+    if HYPOTENUSE in exclude or long_leg in exclude:
+        return 0
+    corner = short_leg in exclude and _is_integral(t.corner)
+    return segment_count(t.leg_y if vertical else t.leg_x) - corner

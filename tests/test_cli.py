@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from latticecount import cli, oracle, polygons, tetra
+from latticecount.triangles import quadrant_count, rect_count
 
 
 def run_cli(capsys, *argv):
@@ -507,3 +508,56 @@ def test_cli_import_does_not_load_numpy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+# --- counts of any size ------------------------------------------------------
+
+_HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.10.7
+
+
+def _unlimited_str(value):
+    """str(value) past the interpreter's int -> str digit limit."""
+    if not _HAS_DIGIT_LIMIT:
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _huge(digits):
+    return (10**digits - 1, "9" * digits)
+
+
+@pytest.mark.parametrize("json_mode", [True, False])
+def test_thr_count_past_the_digit_limit(capsys, json_mode):
+    c, text = _huge(2200)
+    code, out, err = run_cli(capsys, "thr", "3", "7", text, *(["--json"] if json_mode else []))
+    assert (code, err) == (0, "")
+    expected = _unlimited_str(quadrant_count(3, 7, c))
+    assert len(expected) > 4300
+    if json_mode:
+        assert json.loads(out)["count"] == expected
+    else:
+        assert out.endswith(f": {expected}\n")
+
+
+def test_rect_input_past_the_digit_limit(capsys):
+    x1, text = _huge(5000)
+    code, out, err = run_cli(capsys, "rect", "0", "0", text, "1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["count"] == _unlimited_str(rect_count((0, 0), (x1, 1)))
+
+
+@pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [["thr", "3", "7", "9" * 2200], ["thr", "3", "7", "x"]])
+def test_run_restores_the_callers_digit_limit(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -1,33 +1,8 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from latticecount.rationals import egcd, format_rational, parse_int, parse_rational
-
-
-def test_egcd_examples():
-    g, u, v = egcd(3, 7)
-    assert g == 1 and 3 * u + 7 * v == 1
-    g, _, _ = egcd(6, 10)
-    assert g == 2
-    g, u, v = egcd(0, 5)
-    assert (g, 0 * u + 5 * v) == (5, 5)
-
-
-def test_egcd_rejects_double_zero():
-    with pytest.raises(ValueError):
-        egcd(0, 0)
-
-
-def test_egcd_identity_sweep():
-    for a in range(-30, 31):
-        for b in range(-30, 31):
-            if a == 0 and b == 0:
-                continue
-            g, u, v = egcd(a, b)
-            assert g == math.gcd(a, b) > 0
-            assert a * u + b * v == g
+from latticecount.rationals import format_rational, parse_int, parse_rational
 
 
 def test_parse_rational():

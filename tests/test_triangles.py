@@ -1,9 +1,12 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import rand_gcd_shift_instance, rand_point, rand_stable_right
 from latticecount.oracle import (
@@ -21,12 +24,10 @@ from latticecount.triangles import (
     Segment,
     StableRightTriangle,
     floor_sum,
-    point_on_segment,
     quadrant_blocks,
     quadrant_count,
     rect_count,
     segment_count,
-    segment_intersection,
     stable_right_count,
     stable_right_reduction,
 )
@@ -209,25 +210,6 @@ def test_segment_count_against_brute_force():
         assert segment_count(seg) == brute_segment(seg)
 
 
-def test_point_on_segment():
-    seg = Segment((0, 0), (6, 4))
-    assert point_on_segment((3, 2), seg)
-    assert point_on_segment((F(3, 2), 1), seg)
-    assert not point_on_segment((3, 3), seg)
-    assert not point_on_segment((9, 6), seg)  # collinear but outside
-
-
-def test_segment_intersection_cases():
-    overlap = segment_intersection(Segment((0, 0), (4, 0)), Segment((2, 0), (6, 0)))
-    assert (overlap.p, overlap.q) == ((2, 0), (4, 0))
-    touch = segment_intersection(Segment((0, 0), (2, 2)), Segment((2, 2), (5, 1)))
-    assert touch.p == touch.q == (2, 2)
-    cross = segment_intersection(Segment((0, 0), (2, 2)), Segment((0, 2), (2, 0)))
-    assert cross.p == cross.q == (1, 1)
-    assert segment_intersection(Segment((0, 0), (1, 0)), Segment((0, 1), (1, 1))) is None
-    assert segment_intersection(Segment((0, 0), (1, 1)), Segment((3, 3), (4, 4))) is None
-
-
 # --- stable right triangles -----------------------------------------------------
 
 
@@ -305,24 +287,77 @@ def test_boundary_exclusions_worked_triangle():
     assert interior == 39
 
 
-def test_boundary_exclusions_against_brute_force():
-    rng = random.Random(99)
-    parts = [HYPOTENUSE, LEG_X, LEG_Y]
-    for _ in range(60):
-        t = rand_stable_right(rng)
-        chosen = {p for p in parts if rng.random() < 0.5}
-        segs = []
-        if HYPOTENUSE in chosen:
-            segs.append(t.hypotenuse)
-        if LEG_X in chosen:
-            segs.append(t.leg_x)
-        if LEG_Y in chosen:
-            segs.append(t.leg_y)
-        expected = brute_triangle(Triangle(*t.vertices), exclude_segments=segs)
-        assert stable_right_count(t, exclude=chosen) == expected
-
-
 def test_boundary_exclusions_reject_unknown_part():
     t = StableRightTriangle(corner=(0, 0), y_vertex=(0, 2), x_vertex=(2, 0))
     with pytest.raises(ValueError):
         stable_right_count(t, exclude={"edge"})
+    with pytest.raises(ValueError):
+        stable_right_reduction(t, {"edge"})
+
+
+_SUBSETS = [frozenset(c) for r in range(4) for c in combinations((HYPOTENUSE, LEG_X, LEG_Y), r)]
+
+
+def _degenerate_triangles():
+    """Points and axis-parallel segments in both directions, on an
+    integral corner, a non-integral one and two integral in one coordinate
+    only."""
+    out = []
+    for corner in ((2, -1), (F(1, 2), F(-1, 3)), (2, F(1, 3)), (F(1, 2), 3)):
+        cx, cy = corner
+        out.append(StableRightTriangle(corner=corner, x_vertex=corner, y_vertex=corner))
+        for length in (F(7, 2), -4):
+            out.append(StableRightTriangle(corner=corner, x_vertex=corner,
+                                           y_vertex=(cx, cy + length)))
+            out.append(StableRightTriangle(corner=corner, x_vertex=(cx + length, cy),
+                                           y_vertex=corner))
+    return out
+
+
+def test_boundary_exclusions_against_brute_force():
+    """Every exclusion subset.  Each left-out part is a strict inequality:
+    a lifted corner for a leg, c - 1 for the hypotenuse before the
+    gcd(a, b) > 1 flooring, and the whole segment or its corner for a
+    degenerate triangle."""
+    rng = random.Random(99)
+    triangles = [rand_stable_right(rng) for _ in range(60)]
+    triangles += [rand_gcd_shift_instance(rng) for _ in range(40)]
+    for t in triangles + _degenerate_triangles():
+        for parts in _SUBSETS:
+            expected = brute_triangle(Triangle(*t.vertices),
+                                      exclude_segments=t.boundary_segments(parts))
+            assert stable_right_count(t, exclude=parts) == expected, (t, sorted(parts))
+
+
+def test_exclusion_leaves_the_traced_reduction_closed():
+    t = StableRightTriangle(corner=(F(1, 3), F(1, 2)), y_vertex=(F(1, 3), F(23, 4)),
+                            x_vertex=(F(19, 2), F(1, 2)))
+    assert stable_right_reduction(t) == ("quadrant", (63, 110, 480))
+    kind, data = stable_right_reduction(t, {HYPOTENUSE, LEG_Y})
+    assert kind == "quadrant" and quadrant_count(*data) == stable_right_count(
+        t, exclude={HYPOTENUSE, LEG_Y}) == 23
+
+
+@st.composite
+def _big_stable_right(draw):
+    """A non-degenerate stable right triangle with coordinates up to 1e12
+    over small denominators."""
+    coord = st.builds(F, st.integers(-10**12, 10**12), st.sampled_from((1, 1, 2, 3, 7, 12)))
+    ax, ay = draw(coord), draw(coord)
+    cx = draw(coord.filter(lambda v: v != ax))
+    by = draw(coord.filter(lambda v: v != ay))
+    return StableRightTriangle(corner=(ax, ay), x_vertex=(cx, ay), y_vertex=(ax, by))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_big_stable_right())
+def test_exclusion_removes_exactly_the_boundary_points(t):
+    """Past the oracle: leaving out one part removes its segment_count; all
+    three remove the boundary, whose parts share the three vertices."""
+    closed = stable_right_count(t)
+    counts = {part: segment_count(getattr(t, part)) for part in (HYPOTENUSE, LEG_X, LEG_Y)}
+    for part, on_part in counts.items():
+        assert closed - stable_right_count(t, exclude={part}) == on_part
+    integral_vertices = sum(p[0].denominator == p[1].denominator == 1 for p in t.vertices)
+    assert (closed - stable_right_count(t, exclude=set(counts))
+            == sum(counts.values()) - integral_vertices)

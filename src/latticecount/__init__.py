@@ -38,7 +38,6 @@ from .polygons import (
     signed_area2,
     triangle_case,
     triangle_count,
-    triangulate,
 )
 from .tetra import denumerant3, tetra_count, tetra_slice_counts
 from . import oracle
@@ -74,7 +73,6 @@ __all__ = [
     "CASE_ONE_CORNER",
     "triangle_case",
     "triangle_count",
-    "triangulate",
     "polygon_count",
     "pick_audit",
     "polygon_from_text",

@@ -12,6 +12,7 @@ with the reported count.
 
 import argparse
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -22,13 +23,12 @@ from typing import Callable
 from . import oracle
 from .polygons import (
     Triangle,
-    diagonal_points,
+    edge_sum,
     pick_audit,
     polygon_count,
     polygon_from_text,
     triangle_case,
     triangle_count,
-    triangulate,
 )
 from .rationals import format_rational, parse_int, parse_rational
 from .semigroup import TwoGenSemigroup
@@ -132,11 +132,9 @@ def _rtri_trace(tri, parts):
     return trace
 
 
-def _poly_count_and_trace(poly):
-    tris = triangulate(poly)
-    counts = [triangle_count(t) for t in tris]
-    return (sum(counts) - diagonal_points(tris),
-            {"triangles": len(tris), "triangle_counts": _strs(counts)})
+def _sum_and_terms(terms):
+    """(total, trace) of a namedtuple of counts: the trace names each term."""
+    return sum(terms), dict(zip(terms._fields, _strs(terms)))
 
 
 def _tetra_count_and_trace(a1, a2, a3, b):
@@ -270,7 +268,7 @@ SUBCOMMANDS = (
         ("file",), "_read_polygon",
         count=lambda poly: polygon_count(poly),
         shape=lambda poly: f"poly(n={len(poly.vertices)})",
-        count_and_trace=_poly_count_and_trace,
+        count_and_trace=lambda poly: _sum_and_terms(edge_sum(poly)),
         oracle=lambda poly, budget: oracle.brute_polygon(poly, budget=budget),
     ),
     Subcommand(
@@ -392,15 +390,25 @@ def _run(argv, out, err):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
-    if args.json:
-        print(dumps_canonical(report.to_dict()), file=out)
-    else:
-        print(render_text(report), file=out)
+    text = dumps_canonical(report.to_dict()) if args.json else render_text(report)
+    try:
+        print(text, file=out)
+        out.flush()
+    except OSError as exc:  # a closed pipe or a full disk
+        print(f"error: cannot write the report: {exc}", file=err)
+        return 1
     return 2 if report.agreed is False else 0
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # keep the interpreter's flush at exit from failing on it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

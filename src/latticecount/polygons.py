@@ -4,9 +4,10 @@ A general triangle is counted through its tight bounding box: depending
 on how many triangle vertices sit at box corners, the box splits into the
 triangle plus stable right triangles whose hypotenuses are the triangle's
 edges, or the triangle is cut by a vertical segment into two pieces that
-each have a vertical edge.  Polygons are ear-clipped into triangles and
-the shared diagonals are compensated exactly.  A Pick's-theorem audit is
-provided for integral-vertex polygons.
+each have a vertical edge.  A polygon is validated and counted on its
+vertices scaled to integer points, the count as one floor_sum per edge
+(edge_sum).  A Pick's-theorem audit is provided for integral-vertex
+polygons.
 """
 
 from collections import namedtuple
@@ -24,6 +25,7 @@ from .triangles import (
     _in_box,
     _integer_points,
     _is_integral,
+    floor_sum,
     rect_count,
     segment_count,
     stable_right_count,
@@ -283,67 +285,56 @@ def _validate_simple(verts):
     return area2
 
 
-def triangulate(p):
-    """Ear-clip a simple polygon into exactly n - 2 triangles.
+EdgeSum = namedtuple("EdgeSum", ["column_sum", "boundary_correction"])
 
-    An ear is clipped only at a strictly convex vertex whose closed ear
-    triangle contains no other remaining vertex; this keeps every output
-    triangle nondegenerate and every diagonal free of vertices, so the
-    triangles tile the polygon and meet only along whole shared edges.
-    Straight (collinear) vertices become convex as their neighbours are
-    clipped away; a strictly simple polygon always offers such an ear.
-    Convexity and containment are decided on the polygon's integer points.
 
-    Every triangle but the last is an ear (u, v, w), in polygon order,
-    cut off along the diagonal u-w; the last is what remains.
+def edge_sum(p):
+    """The two terms of polygon_count(p), from one pass over the edges of the
+    polygon scaled to integer points (scale L, counterclockwise).
+
+    column_sum: a non-vertical edge from x0 to x1 > x0 covers the columns x
+    with L*x in [x0, x1).  Traversed right to left (upper boundary) it adds
+    floor(y) over them, left to right (lower boundary) 1 - ceil(y): one
+    floor_sum, the region under the edge being a rectangle plus a stable
+    right triangle.  This counts the closed y-intervals of every column.
+
+    boundary_correction, at lattice points only: plus the points strictly
+    inside each upward vertical edge, which no edge covers; plus each vertex
+    whose neighbours both have x <= its x, if it is a left turn or straight
+    on an upward vertical line; minus each reflex vertex whose neighbours
+    both have x > its x, where two covered intervals meet.
     """
-    verts = p.vertices
-    _, pts = _integer_points(verts)
-    left = list(range(len(pts)))
-    out = []
-    while len(left) > 3:
-        n = len(left)
-        for k in range(n):
-            ear = left[k - 1], left[k], left[(k + 1) % n]
-            u, v, w = (pts[i] for i in ear)
-            if _cross(u, v, w) <= 0:
-                continue
-            if any(
-                _cross(u, v, pts[z]) >= 0 and _cross(v, w, pts[z]) >= 0
-                and _cross(w, u, pts[z]) >= 0
-                for z in left
-                if z not in ear
-            ):
-                continue
-            out.append(Triangle(*(verts[i] for i in ear)))
-            del left[k]
-            break
-        else:
-            raise ValueError("ear clipping failed: polygon is not simple")
-    if _cross(*(pts[i] for i in left)) <= 0:
-        raise ValueError("ear clipping failed: polygon is not counterclockwise")
-    out.append(Triangle(*(verts[i] for i in left)))
-    return out
+    L, pts = _integer_points(p.vertices)
+    n = len(pts)
+    columns = correction = 0
+    for i in range(n):
+        u, v, w = pts[i - 1], pts[i], pts[(i + 1) % n]
+        if v[0] != w[0]:
+            (x0, y0), (x1, y1) = sorted((v, w))
+            dx, dy = x1 - x0, y1 - y0
+            xs = -(-x0 // L)
+            cols = -(-x1 // L) - xs
+            b = dy * (L * xs - x0) + y0 * dx
+            if w[0] < v[0]:
+                columns += floor_sum(cols, L * dx, L * dy, b)
+            else:
+                columns += cols + floor_sum(cols, L * dx, -L * dy, -b)
+        elif w[1] > v[1] and v[0] % L == 0:
+            correction += -(-w[1] // L) - v[1] // L - 1
+        if v[0] % L or v[1] % L:
+            continue
+        turn = _cross(u, v, w)
+        if u[0] <= v[0] and w[0] <= v[0] and (turn > 0 or (turn == 0 and w[1] > v[1])):
+            correction += 1
+        elif u[0] > v[0] and w[0] > v[0] and turn < 0:
+            correction -= 1
+    return EdgeSum(columns, correction)
 
 
 def polygon_count(p):
-    """Integral points in a closed simple polygon.
-
-    Sum of the triangle counts of a triangulation, minus the points of
-    each of its n - 3 diagonals, since a diagonal is shared by exactly two
-    triangles.  A polygon vertex lies in several triangles only through
-    the diagonals at it, so the diagonal correction also attributes every
-    vertex exactly once.
-    """
-    tris = triangulate(p)
-    return sum(triangle_count(t) for t in tris) - diagonal_points(tris)
-
-
-def diagonal_points(tris):
-    """Integral points on the n - 3 diagonals of a triangulation made by
-    triangulate, each triangle but the last being an ear (u, v, w) cut off
-    along u-w."""
-    return sum(segment_count(Segment(t.v1, t.v3)) for t in tris[:-1])
+    """Integral points in a closed simple polygon: the column sum of its
+    edges plus the boundary correction of edge_sum."""
+    return sum(edge_sum(p))
 
 
 PickAudit = namedtuple("PickAudit", ["area", "interior", "boundary", "holds"])

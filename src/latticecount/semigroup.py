@@ -15,6 +15,8 @@ of c as x*a + y*b with x, y >= 0).
 from dataclasses import dataclass, field
 from math import gcd
 
+from .triangles import floor_sum
+
 
 @dataclass(frozen=True)
 class TwoGenSemigroup:
@@ -68,16 +70,16 @@ class TwoGenSemigroup:
     def count_upto(self, c):
         """Number of semigroup elements in [0, c].
 
-        Summed over the Apery set of a: each class mod a contributes the
-        elements w, w + a, w + 2a, ... up to c.
+        Each class mod a contributes its Apery element i*b and the elements
+        i*b + a, i*b + 2a, ... up to c, so the count is
+        sum_{i < n} ((c - i*b)//a + 1) with n = min(a, c//b + 1): one
+        floor_sum.
         """
         if c < 0:
             return 0
-        total = 0
-        for w in self.apery(self.a):
-            if w <= c:
-                total += (c - w) // self.a + 1
-        return total
+        a, b = self.a, self.b
+        n = min(a, c // b + 1)
+        return n + floor_sum(n, a, -b, c)
 
     def denumerant(self, c):
         """Number of pairs (x, y) with x, y >= 0 and x*a + y*b = c.

@@ -120,7 +120,7 @@ def test_poly_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "poly", str(path), "--json", "--check", "--trace")
     obj = json.loads(out.strip())
     assert code == 0 and obj["count"] == "16" and obj["agreed"] is True
-    assert obj["trace"]["triangles"] == 2
+    assert obj["trace"] == {"column_sum": "12", "boundary_correction": "4"}
 
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -161,14 +161,14 @@ def _count_calls(monkeypatch, modules, name):
 
 
 @pytest.mark.parametrize("trace", [False, True])
-def test_poly_trace_triangulates_once(capsys, monkeypatch, tmp_path, trace):
+def test_poly_trace_runs_the_edge_sum_once(capsys, monkeypatch, tmp_path, trace):
     path = tmp_path / "pent.txt"
     path.write_text("0 0\n4 0\n5 3\n2 5\n-1 3\n")
-    triangulations = _count_calls(monkeypatch, (cli, polygons), "triangulate")
+    passes = _count_calls(monkeypatch, (cli, polygons), "edge_sum")
     triangles = _count_calls(monkeypatch, (cli, polygons), "triangle_count")
     code, out, _ = run_cli(capsys, "poly", str(path), *(["--trace"] if trace else []))
     assert code == 0 and out.startswith("poly(n=5): 26\n")
-    assert (len(triangulations), len(triangles)) == (1, 3)
+    assert (len(passes), len(triangles)) == (1, 0)
 
 
 def test_tetra_trace_is_one_slice_pass(capsys, monkeypatch):
@@ -346,11 +346,11 @@ GOLDEN = [
     ('poly {poly} --check',
      'poly(n=6): 10\n  oracle: 10 (agreed)\n'),
     ('poly {poly} --trace',
-     'poly(n=6): 10\n  triangles: 4\n  triangle_counts: 4, 4, 4, 2\n'),
+     'poly(n=6): 10\n  column_sum: 9\n  boundary_correction: 1\n'),
     ('poly {poly} --trace --json',
-     '{"shape": "poly(n=6)", "count": "10", "trace": {"triangles": 4, "triangle_counts": ["4", "4", "4", "2"]}}\n'),
+     '{"shape": "poly(n=6)", "count": "10", "trace": {"column_sum": "9", "boundary_correction": "1"}}\n'),
     ('poly {poly} --trace --check --json',
-     '{"shape": "poly(n=6)", "count": "10", "trace": {"triangles": 4, "triangle_counts": ["4", "4", "4", "2"]}, "oracle": "10", "agreed": true}\n'),
+     '{"shape": "poly(n=6)", "count": "10", "trace": {"column_sum": "9", "boundary_correction": "1"}, "oracle": "10", "agreed": true}\n'),
     ('tetra 6 10 15 21',
      'tetra(6, 10, 15; 21): 9\n'),
     ('tetra 6 10 15 21 --json',
@@ -561,3 +561,45 @@ def test_run_restores_the_callers_digit_limit(capsys, argv):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# --- a report that cannot be written ------------------------------------------
+
+
+def _cli_process(*argv, stdout, unbuffered):
+    """The CLI in a child process; with a buffered stdout the failed write
+    stays in the buffer until the interpreter flushes it at exit."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "latticecount.cli", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def _assert_write_failure(code, err):
+    assert code == 1
+    assert err.startswith("error: cannot write the report: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_1(unbuffered):
+    """The reader closes the pipe after 100 bytes of a 4 MB trace, as
+    `latticecount thr 3 7 10000000 --trace | head -c 100` does."""
+    proc = _cli_process("thr", "3", "7", "10000000", "--trace", stdout=subprocess.PIPE,
+                        unbuffered=unbuffered)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    _assert_write_failure(proc.wait(timeout=60), err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_device_exits_1(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process("thr", "3", "7", "46", stdout=full, unbuffered=unbuffered)
+        err = proc.stderr.read()
+        _assert_write_failure(proc.wait(timeout=60), err)

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corpus import (
     CASE_GENERATORS,
@@ -27,8 +29,8 @@ from latticecount.polygons import (
     signed_area2,
     triangle_case,
     triangle_count,
-    triangulate,
 )
+from latticecount.triangles import Segment, segment_count
 
 F = Fraction
 
@@ -147,14 +149,14 @@ def test_polygon_mixed_denominators():
 
 
 def _outcome(vertices):
-    """The validation message, or the triangles as index triples into the
-    stored vertices."""
+    """The validation message, or the stored vertex order as indices into
+    the input."""
     try:
         poly = Polygon(vertices)
     except ValueError as exc:
         return str(exc)
-    index = {v: i for i, v in enumerate(poly.vertices)}
-    return [tuple(index[v] for v in t.vertices) for t in triangulate(poly)]
+    index = {v: i for i, v in enumerate(vertices)}
+    return [index[v] for v in poly.vertices]
 
 
 def test_validation_and_triangulation_scale_invariant():
@@ -191,48 +193,9 @@ def test_polygon_count_lattice_invariant():
                     assert polygon_count(Polygon(tuple(pts))) == base
 
 
-def test_triangulation_diagonals():
-    rng = random.Random(99)
-    for _ in range(30):
-        poly = random_simple_polygon(rng, rng.randint(3, 12), integral=rng.random() < 0.5)
-        n = len(poly.vertices)
-        edges = {frozenset((poly.vertices[i], poly.vertices[(i + 1) % n])) for i in range(n)}
-        tris = triangulate(poly)
-        diagonals = [frozenset((t.v1, t.v3)) for t in tris[:-1]]
-        assert len(diagonals) == n - 3
-        assert len(set(diagonals)) == n - 3
-        assert not edges & set(diagonals)
-
-
-def test_triangulate_rejects_clockwise_input():
-    cw = SimpleNamespace(vertices=((F(0), F(0)), (F(0), F(1)), (F(1), F(0))))
-    with pytest.raises(ValueError, match="counterclockwise"):
-        triangulate(cw)
-
-
 def test_polygon_orientation_normalized():
     cw = Polygon(((0, 0), (0, 1), (1, 1), (1, 0)))
     assert signed_area2(cw.vertices) > 0
-
-
-def test_triangulate_counts_and_areas():
-    square = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
-    assert len(triangulate(square)) == 2
-    pentagon = Polygon(((0, 0), (4, 0), (5, 3), (2, 5), (-1, 3)))
-    assert len(triangulate(pentagon)) == 3
-    ell = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
-    tris = triangulate(ell)
-    assert len(tris) == 4
-    assert sum(abs(signed_area2(t.vertices)) for t in tris) == 2 * 3  # area 3
-
-
-def test_triangulate_with_straight_vertices():
-    # a vertex in the middle of a straight edge must still be clipped
-    poly = Polygon(((0, 0), (1, 0), (2, 0), (2, 2), (0, 2)))
-    tris = triangulate(poly)
-    assert len(tris) == 3
-    assert all(signed_area2(t.vertices) != 0 for t in tris)
-    assert sum(abs(signed_area2(t.vertices)) for t in tris) == 2 * 4
 
 
 def test_polygon_count_examples():
@@ -259,14 +222,106 @@ def test_polygon_count_against_brute_force():
         assert polygon_count(poly) == brute_polygon(poly), poly.vertices
 
 
-def test_triangulation_area_matches_polygon_area():
-    rng = random.Random(13)
-    for _ in range(30):
-        poly = random_simple_polygon(rng, rng.randint(4, 10), integral=False)
-        tris = triangulate(poly)
-        assert len(tris) == len(poly.vertices) - 2
-        total = sum(abs(signed_area2(t.vertices)) for t in tris)
-        assert total == abs(signed_area2(poly.vertices))
+# --- the edge sum's boundary corrections, one shape per rule ------------------------
+
+_CORRECTION_SHAPES = {
+    # (4, 0)-(4, 4) is an upward vertical edge with (4, 1)..(4, 3) inside it
+    "upward vertical edge": ((0, 0), (4, 0), (4, 4), (1, 2)),
+    # (4, 2) is a left turn with both neighbours to its left
+    "convex vertex at the right": ((0, 0), (4, 2), (0, 3)),
+    # (2, 2) is a reflex vertex whose two edges both leave to the right
+    "reflex vertex opening right": ((0, 0), (4, 0), (2, 2), (4, 4), (0, 4)),
+    # (3, 2) is a straight vertex on the vertical edge (3, 0)-(3, 4)
+    "straight vertex on a vertical edge": ((0, 0), (3, 0), (3, 2), (3, 4), (0, 4)),
+}
+
+
+@pytest.mark.parametrize("shape", _CORRECTION_SHAPES)
+def test_edge_sum_corrections_against_brute_force(shape):
+    """Each rule under the 8 lattice symmetries, which turn upward edges into
+    downward or horizontal ones and left into right, and at denominators
+    1, 2 and 7, which move the vertices on and off the lattice."""
+    for den in (1, 2, 7):
+        base = [(F(5 * x, den), F(5 * y, den)) for x, y in _CORRECTION_SHAPES[shape]]
+        for sx in (1, -1):
+            for sy in (1, -1):
+                for swap in (False, True):
+                    pts = [(sx * x, sy * y) for x, y in base]
+                    if swap:
+                        pts = [(y, x) for x, y in pts]
+                    poly = Polygon(tuple(pts))
+                    assert polygon_count(poly) == brute_polygon(poly), (shape, den, pts)
+
+
+def _star(rng, n, radius, dens):
+    """A lattice centre and a polygon star-shaped around it, one vertex per
+    angular sector, with denominators drawn from dens."""
+    centre = (F(rng.randint(-10**6, 10**6)), F(rng.randint(-10**6, 10**6)))
+    while True:
+        pts = []
+        for i in range(n):
+            theta = 2 * math.pi * (i + rng.uniform(0.15, 0.85)) / n
+            r = radius * rng.uniform(0.6, 1.0)
+            den = rng.choice(dens)
+            pts.append((F(round((centre[0] + r * math.cos(theta)) * den), den),
+                        F(round((centre[1] + r * math.sin(theta)) * den), den)))
+        if all(_turn(centre, pts[i - 1], pts[i]) > 0 for i in range(n)):
+            return centre, pts
+
+
+def _turn(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def test_polygon_count_matches_the_fan_of_triangles():
+    """Past the oracle: a star polygon is the fan of triangles around its
+    centre, which share the spokes, and all of them the centre."""
+    rng = random.Random(1906)
+    for _ in range(8):
+        centre, pts = _star(rng, rng.randint(5, 40), 10**6, (1, 1, 2, 3, 7, 16))
+        fan = sum(triangle_count(Triangle(centre, pts[i - 1], pts[i])) for i in range(len(pts)))
+        spokes = sum(segment_count(Segment(centre, p)) for p in pts)
+        assert polygon_count(Polygon(tuple(pts))) == fan - spokes + 1
+
+
+def _convex_hull(points):
+    """Strictly convex hull, counterclockwise (monotone chain)."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(reversed(pts))
+
+
+@st.composite
+def _convex_polygon(draw):
+    """A convex polygon with coordinates up to 1e12 over small denominators.
+    Half of the x coordinates are taken from three lattice lines, which
+    makes vertical edges and diagonals."""
+    coord = st.builds(F, st.integers(-10**12, 10**12), st.sampled_from((1, 1, 2, 3, 7, 12)))
+    x = coord | st.sampled_from((F(-10**12), F(0), F(10**12)))
+    hull = _convex_hull(draw(st.lists(st.tuples(x, coord), min_size=4, max_size=9)))
+    assume(len(hull) >= 4)
+    return hull
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_convex_polygon())
+def test_polygon_count_is_additive_over_every_diagonal(hull):
+    n = len(hull)
+    whole = polygon_count(Polygon(tuple(hull)))
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            part, rest = hull[i:j + 1], hull[j:] + hull[:i + 1]
+            assert whole == (polygon_count(Polygon(tuple(part)))
+                             + polygon_count(Polygon(tuple(rest)))
+                             - segment_count(Segment(hull[i], hull[j]))), (i, j)
 
 
 # --- Pick audit -------------------------------------------------------------------

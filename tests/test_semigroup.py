@@ -1,3 +1,4 @@
+import timeit
 from math import gcd
 
 import pytest
@@ -94,6 +95,23 @@ def test_count_upto_increments_by_membership():
         for c in range(0, 3 * a * b + 1):
             step = s.count_upto(c) - s.count_upto(c - 1)
             assert step == (1 if s.contains(c) else 0)
+
+
+def test_count_upto_near_1e9_generators():
+    """One kernel call, not a pass over the a elements of the Apery set:
+    checked by symmetry (n is in S iff F - n is not, for 0 <= n <= F), past
+    the Frobenius number, and by membership steps."""
+    s = TwoGenSemigroup(999999937, 1000000007)
+    f, g = s.frobenius, s.genus
+    for c in (0, 10**9, 123456789012345678, f // 2, f - 1):
+        assert s.count_upto(c) - s.count_upto(f - c - 1) == c + 1 - g
+    assert s.count_upto(f) == s.count_upto(f - 1) == g
+    for c in (f + 1, 10**30):
+        assert s.count_upto(c) == c + 1 - g
+    for c in (999999937 * 7 + 1000000007 * 3, 10**17, 10**17 + 1):
+        assert s.count_upto(c) - s.count_upto(c - 1) == s.contains(c)
+    best = min(timeit.repeat(lambda: s.count_upto(10**18), number=1, repeat=5))
+    assert best < 0.010
 
 
 def test_denumerant_examples():

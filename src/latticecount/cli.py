@@ -11,12 +11,13 @@ with the reported count.
 """
 
 import argparse
+import io
 import json
 import os
 import re
 import sys
 from collections import namedtuple
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from dataclasses import dataclass
 from typing import Callable
 
@@ -363,15 +364,35 @@ def run(argv, out=None, err=None):
         sys.set_int_max_str_digits(saved)
 
 
+def _write(text, stream, err, what, end=""):
+    """Write text and end to stream and flush it; True on success.  A
+    closed pipe or a full disk is reported on err as one line.  An
+    unbuffered stream ignores a write that a closed pipe cuts short, and
+    fails the write after it, so a report ends with its own write of end."""
+    try:
+        print(text, file=stream, end=end)
+        stream.flush()
+    except OSError as exc:
+        with suppress(OSError):  # err may be the stream that failed
+            print(f"error: cannot write {what}: {exc}", file=err)
+        return False
+    return True
+
+
 def _run(argv, out, err):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = build_parser()
+    # argparse ignores a failed write of its own, so its help and usage
+    # messages are collected here and written like the report
+    help_out, help_err = io.StringIO(), io.StringIO()
     try:
-        with redirect_stdout(out), redirect_stderr(err):
+        with redirect_stdout(help_out), redirect_stderr(help_err):
             args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+        written = (_write(help_out.getvalue(), out, err, "the help")
+                   and _write(help_err.getvalue(), err, err, "the usage message"))
+        return 0 if written and exc.code in (0, None) else 1
     row = args.row
     try:
         parse = globals()[row.parse]
@@ -388,26 +409,23 @@ def _run(argv, out, err):
             report.oracle = row.oracle(*subject, budget=args.oracle_budget)
             report.agreed = report.count == report.oracle
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=err)
+        _write(f"error: {exc}", err, err, "the error message", end="\n")
         return 1
     text = dumps_canonical(report.to_dict()) if args.json else render_text(report)
-    try:
-        print(text, file=out)
-        out.flush()
-    except OSError as exc:  # a closed pipe or a full disk
-        print(f"error: cannot write the report: {exc}", file=err)
+    if not _write(text, out, err, "the report", end="\n"):
         return 1
     return 2 if report.agreed is False else 0
 
 
 def main():
     code = run(sys.argv[1:])
-    try:
-        sys.stdout.flush()
-    except OSError:
-        # keep the interpreter's flush at exit from failing on it again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            # keep the interpreter's flush at exit from failing on it again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            code = 1
     sys.exit(code)
 
 

@@ -91,7 +91,10 @@ class TwoGenSemigroup:
         a' = b (resp. b' = a) is the one that makes the formula exact,
         matching the fractional-part statement of the theorem.  A
         generator equal to 1 needs no special case: modulo 1 the residue
-        is 0, and its representative 1 keeps the formula exact.
+        is 0, and its representative 1 keeps the formula exact.  The
+        division by a*b is exact: b*b' = -c (mod a) makes the numerator
+        c + a*a' + b*b' a multiple of a, a*a' = -c (mod b) makes it a
+        multiple of b, and a, b are coprime.
         """
         if c < 0:
             return 0
@@ -102,9 +105,7 @@ class TwoGenSemigroup:
         bp = (-c % a) * pow(b, -1, a) % a
         if bp == 0:
             bp = a
-        num = c + a * ap + b * bp
-        assert num % (a * b) == 0
-        return num // (a * b) - 1
+        return (c + a * ap + b * bp) // (a * b) - 1
 
 
 def denumerant2(a, b, c):

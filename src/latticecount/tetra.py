@@ -1,45 +1,109 @@
 """Stable right tetrahedra and the three-generator denumerant.
 
-The tetrahedron x1, x2, x3 >= 0, a1*x1 + a2*x2 + a3*x3 <= b is counted by
-slicing along the largest generator s and counting each planar slice
-p*x + q*y <= c as a quadrant triangle.  The generators need not be
-pairwise coprime: each slice inequality is divided through by
-d = gcd(p, q), flooring the bound, which is exact because p*x + q*y only
-takes multiples of d.
+The paper counts the tetrahedron x1, x2, x3 >= 0,
+a1*x1 + a2*x2 + a3*x3 <= b by slicing along the largest generator s:
+slice x3 = i is the planar count p*x + q*y <= b - s*i, a quadrant
+triangle.  The generators need not be pairwise coprime: each slice
+inequality is divided through by d = gcd(p, q), flooring the bound,
+which is exact because p*x + q*y only takes multiples of d.  From here
+on p, q denote the coprime pair after that division, Q their quadrant
+count and D their denumerant, so Q(c) = sum_{m <= c} D(m).
 
-With p, q coprime (after that division) and c = k*p*q + r, 0 <= r < p*q,
-both slice quantities split into a closed form in k plus a value that
-depends on the residue r alone:
+Two routes give the same count.
+
+Slicing (tetra_slice_counts, shown by tetra --trace).  With
+c = k*p*q + r, 0 <= r < p*q, a slice is a closed form in k plus a value
+that depends on the residue r alone:
 
     Q(c) = (the k full strips of the quadrant count) + Q(r)
-    D(c) = k + D(r)                  (Popoviciu: D(c + p*q) = D(c) + 1)
 
-where Q is the quadrant count and D the denumerant in <p, q>.  So a slice
-costs one closed form plus a value per residue, computed once per call:
-Q(r) is one kernel call, remembered for the slices that share r, and
-D(r) is 0 or 1, membership of r < p*q in <p, q>.  The denumerant of n in
-<a1, a2, a3> sums D over the slices whose bound is a multiple of d.
+so Q(r) is one kernel call, remembered for the slices that share r, and
+a count costs one step per slice: O(b/s).
+
+Closed form (tetra_count, denumerant3).  Popoviciu's formula (Beck and
+Robins, Computing the Continuous Discretely, ch. 1) writes the
+denumerant with p' = p^-1 mod q and q' = q^-1 mod p as
+
+    p*q*D(m) = m + p*q - q*(q'*m mod p) - p*(p'*m mod q).
+
+Swapping the order of summation over slices and denumerants gives
+
+    T = sum_{m=0}^{b//d} D(m) * (floor((b - d*m)/s) + 1).
+
+Its linear part is a first- and a second-order floor sum; each residue
+term is constant on a class of m mod p (mod q), where the weights are
+one floor_sum.  So a count costs p + q floor sums of O(log) steps,
+whatever b is; tetra_count slices instead when there are fewer slices
+than that.  The denumerant of n in <a1, a2, a3> sums D over the slices
+whose bound is a multiple of d.  Those bounds form one arithmetic
+progression, on which each residue term is (A*j + B) mod p (mod q): two
+floor_sum calls in all.
 """
 
 from math import gcd
 
-from .triangles import full_strips, quadrant_count
+from .triangles import floor_sum, full_strips, quadrant_count
 
 
-def _check(a1, a2, a3):
+def _reduce(a1, a2, a3):
+    """(p, q, s, d): the two smaller generators divided by their gcd d,
+    and the largest generator s."""
     if a1 < 1 or a2 < 1 or a3 < 1:
         raise ValueError(f"generators must be >= 1, got ({a1}, {a2}, {a3})")
+    p, q, s = sorted((a1, a2, a3))
+    d = gcd(p, q)
+    return p // d, q // d, s, d
+
+
+def _popoviciu_residues(p, q):
+    """(modulus, other generator, inverse of the other modulo the modulus)
+    for the two residue terms of Popoviciu's formula."""
+    return (p, q, pow(q, -1, p)), (q, p, pow(p, -1, q))
+
+
+def _floor_sums2(n, m, a, b):
+    """(sum u_i, sum i*u_i, sum u_i**2) over 0 <= i < n, where
+    u_i = floor((a*i + b) / m), for n >= 0 and m >= 1.
+
+    The second-order companion of triangles.floor_sum, by the same
+    Euclid-like reduction (Beck and Robins, ch. 8).  Each step splits off
+    the integer parts a//m and b//m, then swaps the axes: with k the
+    largest remaining u_i and t_j = floor((m*j + m - b - 1)/a), u_i > j
+    holds exactly when i > t_j, so the three sums over i follow from the
+    same three sums over t_j, 0 <= j < k, with (m, a) replaced by
+    (a, m mod a).  The steps are recorded going down and combined coming
+    back, in a list rather than on the call stack, so a long Euclid chain
+    cannot exhaust the recursion limit.
+    """
+    if n == 0:
+        return 0, 0, 0
+    steps = []
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        k = (a * (n - 1) + b) // m
+        steps.append((n, qa, qb, k))
+        if k == 0:
+            break
+        n, m, a, b = k, a, m, m - b - 1
+    f = g = h = 0  # the sums over t_j of the step below
+    for n, qa, qb, k in reversed(steps):
+        # each t_j*(t_j + 1) is even, so h + f is
+        f, g, h = (k * (n - 1) - f, k * n * (n - 1) // 2 - (h + f) // 2,
+                   (n - 1) * k * k - 2 * g - f)
+        s1 = n * (n - 1) // 2
+        s2 = s1 * (2 * n - 1) // 3
+        f, g, h = (f + qa * s1 + qb * n, g + qa * s2 + qb * s1,
+                   h + qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n + 2 * qa * g + 2 * qb * f)
+    return f, g, h
 
 
 def tetra_slice_counts(a1, a2, a3, b):
     """Per-slice lattice counts, slicing x3' = 0, 1, ... along the largest
     generator; empty for b < 0."""
-    _check(a1, a2, a3)
+    p, q, s, d = _reduce(a1, a2, a3)
     if b < 0:
         return []
-    p, q, s = sorted((a1, a2, a3))
-    d = gcd(p, q)
-    p, q = p // d, q // d
     pq = p * q
     tails = {}  # Q(r) by residue r; at most min(p*q, slices) entries
     out = []
@@ -55,34 +119,63 @@ def tetra_slice_counts(a1, a2, a3, b):
 
 def tetra_count(a1, a2, a3, b):
     """Integral points in the closed tetrahedron a1*x1 + a2*x2 + a3*x3 <= b,
-    xi >= 0.  Any positive generators are accepted; b < 0 gives 0."""
-    return sum(tetra_slice_counts(a1, a2, a3, b))
+    xi >= 0.  Any positive generators are accepted; b < 0 gives 0.
+
+    The closed form of the module docstring, or the slice loop when
+    b//s + 1 slices cost fewer steps than its p + q residue classes.  The
+    closed form builds p*q*T from Popoviciu's formula term by term; each
+    term is p*q times the integer D(m), so the division by p*q is exact.
+    """
+    p, q, s, d = _reduce(a1, a2, a3)
+    if b < 0:
+        return 0
+    if b // s + 1 < p + q:
+        return sum(tetra_slice_counts(a1, a2, a3, b))
+    return _tetra_closed_form(p, q, s, d, b)
+
+
+def _tetra_closed_form(p, q, s, d, b):
+    """tetra_count for the reduced generators of _reduce and b >= 0."""
+    top = b // d  # the largest m with a non-zero weight w(m) = (b - d*m)//s + 1
+    n = top + 1
+    # with m = top - k, b - d*m = d*k + b % d, so the weights are one floor sum
+    f, g, _ = _floor_sums2(n, s, d, b - d * top)
+    w_sum = f + n
+    mw_sum = top * w_sum - g - n * (n - 1) // 2
+    total = mw_sum + p * q * w_sum
+    for mod, other, inv in _popoviciu_residues(p, q):
+        for r in range(1, mod):  # the class r = 0 has residue term 0
+            j = (top - r) // mod + 1  # m = r, r + mod, ... <= top; none for r > top
+            total -= other * (inv * r % mod) * (j + floor_sum(j, s, -d * mod, b - d * r))
+    return total // (p * q)
 
 
 def denumerant3(a1, a2, a3, n):
     """Number of triples (x1, x2, x3) of non-negative integers with
     a1*x1 + a2*x2 + a3*x3 = n; zero for n < 0.
 
-    One pass over the slices x3 whose remainder n - s*x3 is a multiple of
-    d = gcd(p, q), adding k + D(r) for each (see the module docstring).
-    Those x3 form one residue class modulo d / gcd(s, d), or none when
-    gcd(s, d) does not divide n.
+    The slices x3 whose remainder n - s*x3 is a multiple of d = gcd(p, q)
+    form one residue class modulo d / gcd(s, d), or none when gcd(s, d)
+    does not divide n.  Their bounds c_j = c0 - (s/g)*j, j < J, are an
+    arithmetic progression, so sum_j p*q*D(c_j) is an arithmetic series
+    less, for each residue term, a sum of (A*j + B) mod p, which is
+    sum(A*j + B) - p*floor_sum(J, p, A, B).  Each term is p*q times the
+    integer D(c_j), so the division by p*q is exact.
     """
-    _check(a1, a2, a3)
+    p, q, s, d = _reduce(a1, a2, a3)
     if n < 0:
         return 0
-    p, q, s = sorted((a1, a2, a3))
-    d = gcd(p, q)
-    p, q = p // d, q // d
-    pq = p * q
     g = gcd(s, d)
     if n % g:
         return 0
     step = d // g
     first = (n // g) * pow(s // g, -1, step) % step
-    q_inv = pow(q, -1, p)  # r < p*q is in <p, q> iff r >= (r * q_inv % p) * q
-    total = 0
-    for x3 in range(first, n // s + 1, step):
-        k, r = divmod((n - s * x3) // d, pq)
-        total += k + (r >= r * q_inv % p * q)
-    return total
+    count = (n // s - first) // step + 1  # 0 when first > n//s
+    c0 = (n - s * first) // d
+    ds = s // g
+    pairs = count * (count - 1) // 2
+    total = count * (c0 + p * q) - ds * pairs
+    for mod, other, inv in _popoviciu_residues(p, q):
+        a, b = -inv * ds % mod, inv * c0 % mod
+        total -= other * (a * pairs + b * count - mod * floor_sum(count, mod, a, b))
+    return total // (p * q)

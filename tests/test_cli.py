@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -566,7 +567,7 @@ def test_run_restores_the_callers_digit_limit(capsys, argv):
 # --- a report that cannot be written ------------------------------------------
 
 
-def _cli_process(*argv, stdout, unbuffered):
+def _cli_process(*argv, stdout, unbuffered, stderr=subprocess.PIPE):
     """The CLI in a child process; with a buffered stdout the failed write
     stays in the buffer until the interpreter flushes it at exit."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -575,12 +576,12 @@ def _cli_process(*argv, stdout, unbuffered):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "latticecount.cli", *argv], env=env,
-                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+                            stdout=stdout, stderr=stderr, text=True)
 
 
-def _assert_write_failure(code, err):
+def _assert_write_failure(code, err, what="the report"):
     assert code == 1
-    assert err.startswith("error: cannot write the report: ")
+    assert err.startswith(f"error: cannot write {what}: ") and err.count("\n") == 1
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
@@ -603,3 +604,43 @@ def test_full_device_exits_1(unbuffered):
         proc = _cli_process("thr", "3", "7", "46", stdout=full, unbuffered=unbuffered)
         err = proc.stderr.read()
         _assert_write_failure(proc.wait(timeout=60), err)
+
+
+class _FullStream(io.StringIO):
+    """A stream whose every non-empty write fails, as on a full disk."""
+
+    def write(self, text):
+        if text:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return 0
+
+
+@pytest.mark.parametrize("argv, what", [(["-h"], "the help"),
+                                        (["thr", "3", "7", "46"], "the report")])
+def test_run_reports_output_it_cannot_write(argv, what):
+    err = io.StringIO()
+    assert cli.run(argv, _FullStream(), err) == 1
+    assert err.getvalue().startswith(f"error: cannot write {what}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["-h"], ["tetra", "--help"]])
+def test_help_to_full_device_exits_1(argv, unbuffered):
+    """argparse ignores a failed write of its help; the CLI does not."""
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(*argv, stdout=full, unbuffered=unbuffered)
+        err = proc.stderr.read()
+        _assert_write_failure(proc.wait(timeout=60), err, "the help")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["thr", "3"], ["thr", "3", "7", "x"]])
+def test_errors_to_full_device_exit_1(argv, unbuffered):
+    """A usage or input error that cannot be written still exits 1; the
+    interpreter's own flush at exit would make that 120."""
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(*argv, stdout=subprocess.PIPE, stderr=full, unbuffered=unbuffered)
+        assert proc.stdout.read() == ""
+        assert proc.wait(timeout=60) == 1

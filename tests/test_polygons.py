@@ -103,6 +103,58 @@ def test_triangle_count_invariances():
                     assert triangle_count(Triangle(*pts)) == base
 
 
+# --- unimodular invariance -------------------------------------------------------
+# A map x -> M*x + t with M in GL2(Z) and t in Z^2 is a bijection of the
+# lattice, so it leaves every count unchanged.  The maps are products of
+# elementary shears, the swap of the axes and a reflection, which generate
+# GL2(Z).
+
+
+def _unimodular(pts, steps, shift):
+    for kind, k in steps:
+        if kind == "shear_x":
+            pts = [(x + k * y, y) for x, y in pts]
+        elif kind == "shear_y":
+            pts = [(x, y + k * x) for x, y in pts]
+        elif kind == "swap":
+            pts = [(y, x) for x, y in pts]
+        else:
+            pts = [(-x, y) for x, y in pts]
+    return [(x + shift[0], y + shift[1]) for x, y in pts]
+
+
+_BIG = st.builds(F, st.integers(-10**12, 10**12), st.sampled_from((1, 2, 3, 7, 12)))
+_STEP = st.tuples(st.sampled_from(("shear_x", "shear_y", "swap", "reflect")),
+                  st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_BIG, _BIG), min_size=3, max_size=3),
+       st.lists(_STEP, min_size=1, max_size=6),
+       st.tuples(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12)))
+def test_triangle_count_is_unimodular_invariant(pts, steps, shift):
+    moved = _unimodular(pts, steps, shift)
+    assert triangle_count(Triangle(*moved)) == triangle_count(Triangle(*pts))
+
+
+def test_shears_move_one_triangle_through_every_case():
+    e = 10**12
+    stable = [(F(e, 3), F(-e, 7)), (F(e, 3), F(3 * e, 5)), (2 * e + F(1, 2), F(-e, 7))]
+    flat = [(F(e, 3), F(-e, 7)), (F(e, 3) + 2, F(-e, 7) + 3), (F(e, 3) + 4, F(-e, 7) + 6)]
+    paths = {
+        CASE_STABLE: [],
+        CASE_TWO_ADJACENT: [("shear_x", 1)],
+        CASE_TWO_OPPOSITE: [("shear_x", -1)],
+        CASE_ONE_CORNER: [("shear_x", 2), ("shear_y", 1)],
+    }
+    for pts in (stable, flat):
+        base = triangle_count(Triangle(*pts))
+        for case, steps in paths.items():
+            moved = Triangle(*_unimodular(pts, steps, (5, -9)))
+            assert triangle_case(moved) == (case if pts is stable else CASE_DEGENERATE)
+            assert triangle_count(moved) == base, (case, pts is stable)
+
+
 # --- polygons -------------------------------------------------------------------
 
 

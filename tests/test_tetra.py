@@ -1,10 +1,24 @@
+import json
+import os
+import random
+import subprocess
+import sys
+import time
 from itertools import permutations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
+from latticecount import cli, tetra
 from latticecount.oracle import brute_denumerant3, brute_equation3_table, brute_tetra
-from latticecount.tetra import denumerant3, tetra_count, tetra_slice_counts
+from latticecount.semigroup import denumerant2
+from latticecount.tetra import (
+    _reduce,
+    _tetra_closed_form,
+    denumerant3,
+    tetra_count,
+    tetra_slice_counts,
+)
 from latticecount.triangles import quadrant_count
 
 
@@ -97,3 +111,136 @@ def test_denumerant3_with_no_admissible_slice():
     # every x1*12 + x2*18 is a multiple of 6 and 20*x3 is even: odd n has none
     assert [denumerant3(12, 18, 20, n) for n in (1, 7, 999, 10**6 + 1)] == [0, 0, 0, 0]
     assert denumerant3(12, 18, 20, 6000) == brute_denumerant3(12, 18, 20, 6000)
+
+
+# --- the closed forms against the slice loop ----------------------------------
+
+
+def _slice_loop_denumerant3(a1, a2, a3, n):
+    """The denumerant as one pass over the admissible slices, adding
+    k + D(r) for c = k*p*q + r: the reference for the closed form."""
+    if n < 0:
+        return 0
+    p, q, s, d = _reduce(a1, a2, a3)
+    pq = p * q
+    g = gcd(s, d)
+    if n % g:
+        return 0
+    step = d // g
+    first = (n // g) * pow(s // g, -1, step) % step
+    q_inv = pow(q, -1, p)  # r < p*q is in <p, q> iff r >= (r * q_inv % p) * q
+    total = 0
+    for x3 in range(first, n // s + 1, step):
+        k, r = divmod((n - s * x3) // d, pq)
+        total += k + (r >= r * q_inv % p * q)
+    return total
+
+
+def test_closed_forms_against_the_slice_loop():
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(("non-coprime", "one", "repeated", "negative", "no slice"), 0)
+    for _ in range(20000):
+        gens = [rng.randint(1, 40) for _ in range(3)]
+        b = rng.randint(-3, 3000)
+        slices = sum(tetra_slice_counts(*gens, b))
+        assert tetra_count(*gens, b) == slices, (gens, b)
+        if b >= 0:
+            assert _tetra_closed_form(*_reduce(*gens), b) == slices, (gens, b)
+        expected = _slice_loop_denumerant3(*gens, b)
+        assert denumerant3(*gens, b) == expected, (gens, b)
+        p, q, s = sorted(gens)
+        seen["non-coprime"] += gcd(p, q) > 1
+        seen["one"] += p == 1
+        seen["repeated"] += len(set(gens)) < 3
+        seen["negative"] += b < 0
+        seen["no slice"] += b >= 0 and not any(
+            (b - s * x3) % gcd(p, q) == 0 for x3 in range(b // s + 1))
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("gens", [(3, 5, 7), (6, 10, 15), (1, 1, 4), (4, 9, 13), (12, 18, 20)],
+                         ids=str)
+def test_route_switch_boundary(monkeypatch, gens):
+    """tetra_count slices while b//s + 1 < p + q and takes the closed form
+    from there on; both sides agree with enumeration."""
+    p, q, s, _ = _reduce(*gens)
+    sliced = []
+    slice_counts = tetra.tetra_slice_counts
+    monkeypatch.setattr(tetra, "tetra_slice_counts",
+                        lambda *args: sliced.append(args) or slice_counts(*args))
+    for slices in (p + q - 1, p + q):
+        for b in ((slices - 1) * s, slices * s - 1):
+            sliced.clear()
+            assert tetra_count(*gens, b) == brute_tetra(*gens, b), b
+            assert bool(sliced) == (b // s + 1 < p + q), b
+
+
+def test_floor_sums2_against_direct_sums():
+    rng = random.Random(8)
+    for _ in range(3000):
+        n, m = rng.randint(0, 40), rng.randint(1, 30)
+        a, b = rng.randint(-50, 50), rng.randint(-50, 50)
+        u = [(a * i + b) // m for i in range(n)]
+        expected = (sum(u), sum(i * x for i, x in enumerate(u)), sum(x * x for x in u))
+        assert tetra._floor_sums2(n, m, a, b) == expected, (n, m, a, b)
+
+
+def test_floor_sums2_long_euclid_chain():
+    # consecutive Fibonacci numbers make the longest Euclid chain, here
+    # about 1,400 steps: more than the default recursion limit
+    a, b = 1, 1
+    while b < 10**300:
+        a, b = b, a + b
+    n = 5
+    u = [(a * i + 3) // b for i in range(n)]
+    assert tetra._floor_sums2(n, b, a, 3) == (
+        sum(u), sum(i * x for i, x in enumerate(u)), sum(x * x for x in u))
+    bound = 10**302  # a few hundred slices
+    assert tetra_count(a, a, b, bound) == sum(tetra_slice_counts(a, a, b, bound))
+
+
+@pytest.mark.parametrize("argv", [
+    ["tetra", "1", "1", "1", str(10**12)],
+    ["tetra", "1000", "1001", "1003", str(10**30)],
+    ["denumerant3", "6", "10", "15", str(10**60)],
+])
+def test_large_bounds_return_quickly(capsys, argv):
+    start = time.perf_counter()
+    code = cli.run(argv + ["--json"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert elapsed < 1.0, elapsed
+    assert int(json.loads(out)["count"]) > 0
+
+
+def test_large_bounds_against_other_closed_forms():
+    b = 10**12
+    assert tetra_count(1, 1, 1, b) == comb(b + 3, 3)
+    # the tetrahedra of n and n - 1 differ by the solutions of the equation
+    for gens, n in (((6, 10, 15), 10**60), ((1000, 1001, 1003), 10**30), ((4, 6, 9), 10**20)):
+        assert denumerant3(*gens, n) == tetra_count(*gens, n) - tetra_count(*gens, n - 1)
+
+
+def test_closed_forms_without_asserts():
+    """python -O strips assert statements: the closed forms, both routes
+    of tetra_count and the two-generator denumerant give the same values."""
+    rng = random.Random(5)
+    cases = [([rng.randint(1, 40) for _ in range(3)], rng.randint(-3, 3000))
+             for _ in range(300)]
+    cases += [([1, 1, 1], 10**12), ([1000, 1001, 1003], 10**30), ([6, 10, 15], 10**60)]
+    probe = (
+        "import json, sys\n"
+        "from latticecount.semigroup import denumerant2\n"
+        "from latticecount.tetra import denumerant3, tetra_count\n"
+        "cases = json.load(sys.stdin)\n"
+        "print(json.dumps([[str(tetra_count(*g, b)), str(denumerant3(*g, b)),\n"
+        "                   str(denumerant2(g[0], 1 + g[1] * g[0], b))] for g, b in cases]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-O", "-c", probe], input=json.dumps(cases),
+                            env=env, capture_output=True, text=True, check=True)
+    expected = [[str(tetra_count(*g, b)), str(denumerant3(*g, b)),
+                 str(denumerant2(g[0], 1 + g[1] * g[0], b))] for g, b in cases]
+    assert json.loads(result.stdout) == expected

@@ -2,9 +2,10 @@
 
 One subcommand per counted shape or semigroup query, exact rational
 input everywhere the geometry allows it, optional decomposition traces
-(--trace) and optional brute-force cross-checking (--check).  Every
-subcommand is one row of the SUBCOMMANDS table; build_parser and run
-read that table and hold no per-subcommand code.
+(--trace, refused past TRACE_LIMIT entries) and optional brute-force
+cross-checking (--check).  Every subcommand is one row of the
+SUBCOMMANDS table; build_parser and run read that table and hold no
+per-subcommand code.
 
 Exit codes: 0 success, 1 input error, 2 the brute-force check disagreed
 with the reported count.
@@ -47,6 +48,9 @@ from .triangles import (
 )
 
 _EXCLUDE_PARTS = {"hyp": HYPOTENUSE, "legx": LEG_X, "legy": LEG_Y}
+
+# the most entries a --trace may list: thr's blocks and tail terms, tetra's slices
+TRACE_LIMIT = 10**6
 
 # argparse reads only -N and -N.N as negative numbers, so "-6/5" would be
 # taken for an option; every signed rational form is a positional here.
@@ -117,7 +121,17 @@ def _parse_exclude(values):
     return parts
 
 
+def _check_trace_size(entries):
+    """Refuse, before building it, a trace of more than TRACE_LIMIT entries."""
+    if entries > TRACE_LIMIT:
+        raise ValueError(f"--trace would list {entries} entries, over the limit of {TRACE_LIMIT}")
+
+
 def _thr_trace(a, b, c):
+    if c < 0:
+        return {"k": 0, "blocks": [], "tail_terms": []}
+    k, r = divmod(c, a * b)
+    _check_trace_size(k + 2 + r // max(a, b))  # k + 1 blocks, r // max(a, b) + 1 tail terms
     blocks = quadrant_blocks(a, b, c)
     return {"k": blocks.k, "blocks": _strs(blocks.block_counts),
             "tail_terms": _strs(blocks.tail_terms)}
@@ -139,6 +153,8 @@ def _sum_and_terms(terms):
 
 
 def _tetra_count_and_trace(a1, a2, a3, b):
+    if min(a1, a2, a3) >= 1:  # else tetra_slice_counts rejects the generators
+        _check_trace_size(b // max(a1, a2, a3) + 1)
     slices = tetra_slice_counts(a1, a2, a3, b)
     return sum(slices), {"slices": _strs(slices)}
 

@@ -1,13 +1,16 @@
 """Integral points in general rational triangles and simple polygons.
 
-A general triangle is counted through its tight bounding box: depending
-on how many triangle vertices sit at box corners, the box splits into the
-triangle plus stable right triangles whose hypotenuses are the triangle's
-edges, or the triangle is cut by a vertical segment into two pieces that
-each have a vertical edge.  A polygon is validated and counted on its
-vertices scaled to integer points, the count as one floor_sum per edge
-(edge_sum).  A Pick's-theorem audit is provided for integral-vertex
-polygons.
+A general triangle is counted through its tight bounding box.  When
+every vertex lies on a side of the box, the triangle is the box less one
+stable right triangle per slanted edge: the one the edge cuts off from
+the box, counted without its hypotenuse.  A triangle with a vertex
+strictly inside the box (only possible with the other two at opposite
+corners) is first cut by the vertical line through that vertex into two
+triangles of that kind.
+
+A polygon is validated and counted on its vertices scaled to integer
+points, the count as one floor_sum per edge (edge_sum).  A Pick's-theorem
+audit is provided for integral-vertex polygons.
 """
 
 from collections import namedtuple
@@ -74,7 +77,12 @@ def _box_corners(v):
 def triangle_case(t):
     """Classify a triangle by how many of its vertices are corners of its
     tight bounding box (the box always owns at least one vertex of a
-    nondegenerate triangle)."""
+    nondegenerate triangle).  The case names what triangle_count takes
+    from the box: one stable right triangle for stable_right (its one
+    slanted edge), two for two_adjacent_corners, three for one_corner;
+    two_opposite_corners is cut in two first, unless its third vertex
+    lies on a side of the box, when it loses two right triangles like
+    two_adjacent_corners.  A degenerate triangle is its segment hull."""
     v = t.vertices
     if _cross(*v) == 0:
         return CASE_DEGENERATE
@@ -91,47 +99,23 @@ def triangle_case(t):
     return CASE_ONE_CORNER
 
 
-def _stable_from_vertices(v):
-    for i in range(3):
-        a, b, c = v[i], v[(i + 1) % 3], v[(i + 2) % 3]
-        if a[0] == b[0] and a[1] == c[1]:
-            return StableRightTriangle(corner=a, y_vertex=b, x_vertex=c)
-        if a[0] == c[0] and a[1] == b[1]:
-            return StableRightTriangle(corner=a, y_vertex=c, x_vertex=b)
-    raise AssertionError("no axis-parallel right angle found")
-
-
-def _hyp_excluded(corner, x_vertex, y_vertex):
-    tri = StableRightTriangle(corner=corner, x_vertex=x_vertex, y_vertex=y_vertex)
-    return stable_right_count(tri, exclude={HYPOTENUSE})
-
-
-def _vertical_edge_count(p, q, r):
-    """Count a triangle with a vertical edge p-q and apex r off that line.
-
-    The bounding box splits into the triangle plus (at most) two stable
-    right triangles whose hypotenuses are the edges q-r and p-r; those
-    regions are removed with their hypotenuse points excluded, so every
-    box point is attributed exactly once.
-    """
-    if r[0] < p[0]:
-        p = (-p[0], p[1])
-        q = (-q[0], q[1])
-        r = (-r[0], r[1])
-    xv = p[0]
-    ylo, yhi = sorted((p[1], q[1]))
-    xr, yr = r
-    total = rect_count((xv, min(ylo, yr)), (xr, max(yhi, yr)))
-    if yr != yhi:  # region above the edge (xv, yhi) -- r
-        if yr > yhi:
-            total -= _hyp_excluded((xv, yr), r, (xv, yhi))
+def _boxed_count(v):
+    """Count a nondegenerate triangle whose vertices all lie on the sides
+    of its tight bounding box: the box less, for each slanted edge u -> w,
+    the stable right triangle that the edge cuts off, hypotenuse excluded.
+    Its right angle is the corner (u.x, w.y) or (w.x, u.y) on the far side
+    of the edge, to the right of it when v runs counterclockwise."""
+    (x0, x1, y0, y1), _ = _box_corners(v)
+    total = rect_count((x0, y0), (x1, y1))
+    ccw = _cross(*v) > 0
+    for u, w in zip(v, v[1:] + v[:1]):
+        if u[0] == w[0] or u[1] == w[1]:
+            continue
+        if ((w[0] > u[0]) == (w[1] > u[1])) != ccw:
+            cut = StableRightTriangle(corner=(u[0], w[1]), x_vertex=w, y_vertex=u)
         else:
-            total -= _hyp_excluded((xr, yhi), (xv, yhi), r)
-    if yr != ylo:  # region below the edge (xv, ylo) -- r
-        if yr < ylo:
-            total -= _hyp_excluded((xv, yr), r, (xv, ylo))
-        else:
-            total -= _hyp_excluded((xr, ylo), (xv, ylo), r)
+            cut = StableRightTriangle(corner=(w[0], u[1]), x_vertex=u, y_vertex=w)
+        total -= stable_right_count(cut, exclude={HYPOTENUSE})
     return total
 
 
@@ -139,69 +123,24 @@ def triangle_count(t):
     """Integral points in a closed triangle with rational vertices.
 
     Degenerate (collinear) input counts the points of its segment hull.
-    Otherwise the bounding-box case decides the decomposition:
-
-      * three vertices at box corners: the triangle is stable, count it
-        directly;
-      * two vertices at adjacent corners: box minus two right triangles,
-        hypotenuse points excluded;
-      * one vertex at a corner: box minus three such right triangles;
-      * two vertices at opposite corners: cut vertically through the
-        middle vertex; each half has a vertical edge, and the cut segment
-        is counted twice so it is subtracted once.
+    A triangle whose vertices all lie on the sides of its tight bounding
+    box is the box less one stable right triangle per slanted edge
+    (_boxed_count).  Only a two_opposite_corners triangle can have a
+    vertex strictly inside the box: the vertical line through that vertex
+    cuts it into two triangles of the first kind, which share the cut
+    segment, so the segment is subtracted once.
     """
-    case = triangle_case(t)
-    v = list(t.vertices)
-    if case == CASE_DEGENERATE:
+    v = t.vertices
+    if _cross(*v) == 0:
         return segment_count(Segment(min(v), max(v)))
-    if case == CASE_STABLE:
-        return stable_right_count(_stable_from_vertices(v))
-    if case == CASE_TWO_ADJACENT:
-        _, hits = _box_corners(v)
-        third = next(p for p in v if p not in hits)
-        if hits[0][0] != hits[1][0]:  # horizontal edge: transpose to vertical
-            hits = [(p[1], p[0]) for p in hits]
-            third = (third[1], third[0])
-        return _vertical_edge_count(hits[0], hits[1], third)
-    if case == CASE_TWO_OPPOSITE:
-        return _two_opposite_count(v)
-    return _one_corner_count(v)
-
-
-def _two_opposite_count(v):
-    (x0, x1, y0, y1), hits = _box_corners(v)
-    if (x0, y0) not in hits:  # corners are (x0,y1),(x1,y0): flip y
-        v = [(p[0], -p[1]) for p in v]
-        (x0, x1, y0, y1), hits = _box_corners(v)
-    lo = (x0, y0)
-    hi = (x1, y1)
-    mid = next(p for p in v if p not in hits)
-    if mid[0] == x0:
-        return _vertical_edge_count(lo, mid, hi)
-    if mid[0] == x1:
-        return _vertical_edge_count(hi, mid, lo)
-    # cut at x = mid.x; the opposite edge is the lo-hi diagonal
-    yw = y0 + (y1 - y0) * (mid[0] - x0) / (x1 - x0)
-    cut = (mid[0], yw)
-    left = _vertical_edge_count(mid, cut, lo)
-    right = _vertical_edge_count(mid, cut, hi)
-    return left + right - segment_count(Segment(mid, cut))
-
-
-def _one_corner_count(v):
-    (x0, x1, y0, y1), (hit,) = _box_corners(v)
-    sx = -1 if hit[0] == x1 else 1
-    sy = -1 if hit[1] == y1 else 1
-    v = [(sx * p[0], sy * p[1]) for p in v]
     (x0, x1, y0, y1), _ = _box_corners(v)
-    a1 = (x0, y0)
-    a2 = next(p for p in v if p[0] == x1)  # strictly inside the right edge
-    a3 = next(p for p in v if p[1] == y1)  # strictly inside the top edge
-    total = rect_count((x0, y0), (x1, y1))
-    total -= _hyp_excluded((x0, y1), (a3[0], y1), (x0, y0))
-    total -= _hyp_excluded((x1, y1), (a3[0], y1), (x1, a2[1]))
-    total -= _hyp_excluded((x1, y0), (x0, y0), (x1, a2[1]))
-    return total
+    for i, mid in enumerate(v):
+        if x0 < mid[0] < x1 and y0 < mid[1] < y1:
+            lo, hi = v[i - 1], v[i - 2]
+            cut = (mid[0], lo[1] + (hi[1] - lo[1]) * (mid[0] - lo[0]) / (hi[0] - lo[0]))
+            return (_boxed_count((lo, mid, cut)) + _boxed_count((mid, hi, cut))
+                    - segment_count(Segment(mid, cut)))
+    return _boxed_count(v)
 
 
 # ---------------------------------------------------------------------------

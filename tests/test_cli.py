@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -146,6 +147,49 @@ def test_tetra_trace(capsys):
     code, out, _ = run_cli(capsys, "tetra", "6", "10", "15", "21", "--trace", "--json")
     assert code == 0
     assert json.loads(out.strip())["trace"]["slices"] == ["7", "2"]
+
+
+def test_thr_trace_of_negative_bound(capsys):
+    code, out, err = run_cli(capsys, "thr", "3", "7", "-5", "--trace")
+    assert (code, err) == (0, "")
+    assert out == "thr(3, 7, -5): 0\n  k: 0\n  blocks: \n  tail_terms: \n"
+
+
+def test_thr_trace_of_negative_bound_json(capsys):
+    code, out, err = run_cli(capsys, "thr", "3", "7", "-5", "--trace", "--json")
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["trace"] == {"k": 0, "blocks": [], "tail_terms": []}
+    assert sum(int(n) for n in obj["trace"]["blocks"]) == int(obj["count"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("tetra", "1", "1", "1", "1000000000000"),
+    ("thr", "3", "7", "1000000000000000"),
+])
+def test_trace_over_the_limit_exits_1(capsys, monkeypatch, argv):
+    slices = _count_calls(monkeypatch, (cli,), "tetra_slice_counts")
+    blocks = _count_calls(monkeypatch, (cli,), "quadrant_blocks")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--trace")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert slices == blocks == []
+    assert err.startswith("error: --trace would list ") and err.count("\n") == 1
+
+
+def test_trace_limit_counts_every_entry(capsys, monkeypatch):
+    # thr 3 7 46 lists three blocks and one tail term, tetra 6 10 15 21 two slices
+    monkeypatch.setattr(cli, "TRACE_LIMIT", 4)
+    assert run_cli(capsys, "thr", "3", "7", "46", "--trace")[0] == 0
+    monkeypatch.setattr(cli, "TRACE_LIMIT", 3)
+    assert run_cli(capsys, "thr", "3", "7", "46", "--trace")[0] == 1
+    assert run_cli(capsys, "thr", "3", "7", "46")[0] == 0
+    monkeypatch.setattr(cli, "TRACE_LIMIT", 2)
+    assert run_cli(capsys, "tetra", "6", "10", "15", "21", "--trace")[0] == 0
+    monkeypatch.setattr(cli, "TRACE_LIMIT", 1)
+    assert run_cli(capsys, "tetra", "6", "10", "15", "21", "--trace")[0] == 1
+    assert run_cli(capsys, "tetra", "6", "10", "15", "21")[0] == 0
 
 
 def _count_calls(monkeypatch, modules, name):

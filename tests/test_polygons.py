@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from latticecount.polygons import (
     CASE_STABLE,
     CASE_TWO_ADJACENT,
     CASE_TWO_OPPOSITE,
+    TRIANGLE_CASES,
     Polygon,
     Triangle,
     pick_audit,
@@ -153,6 +155,35 @@ def test_shears_move_one_triangle_through_every_case():
             moved = Triangle(*_unimodular(pts, steps, (5, -9)))
             assert triangle_case(moved) == (case if pts is stable else CASE_DEGENERATE)
             assert triangle_count(moved) == base, (case, pts is stable)
+
+
+def test_triangle_count_on_every_half_grid_triangle():
+    """Every triangle with vertices on {0, 1/2, 1, 3/2, 2}^2, in both
+    orientations: each case, and each way a vertex can meet a side or a
+    corner of the bounding box."""
+    grid = [(F(i, 2), F(j, 2)) for i in range(5) for j in range(5)]
+    cases = set()
+    for a, b, c in itertools.combinations(grid, 3):
+        for t in (Triangle(a, b, c), Triangle(a, c, b)):
+            cases.add(triangle_case(t))
+            assert triangle_count(t) == brute_triangle(t), t
+    assert cases == set(TRIANGLE_CASES)
+
+
+_SPLIT = st.sampled_from((F(1, 2), F(1, 3), F(3, 4))) | st.builds(
+    lambda n, m: F(n, n + m), st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_BIG, _BIG), min_size=3, max_size=3), _SPLIT)
+def test_triangle_count_is_additive_over_a_split(pts, t):
+    """P on BC splits ABC into ABP and APC, which share the segment AP."""
+    a, b, c = pts
+    assume(_turn(a, b, c) != 0)
+    p = (b[0] + t * (c[0] - b[0]), b[1] + t * (c[1] - b[1]))
+    assert triangle_count(Triangle(a, b, c)) == (triangle_count(Triangle(a, b, p))
+                                                 + triangle_count(Triangle(a, p, c))
+                                                 - segment_count(Segment(a, p)))
 
 
 # --- polygons -------------------------------------------------------------------

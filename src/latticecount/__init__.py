@@ -1,8 +1,9 @@
 """Exact lattice-point counting for rational triangles, simple polygons and
 stable right tetrahedra, built on two-generator numerical semigroups.
 
-All arithmetic is exact (unbounded ints and fractions); every counter has
-an independent brute-force twin in latticecount.oracle.
+All arithmetic is exact: every count runs on unbounded ints, on the
+rational input points scaled once to integers.  Every counter has an
+independent brute-force twin in latticecount.oracle.
 """
 
 from .rationals import format_rational, parse_rational

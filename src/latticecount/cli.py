@@ -181,11 +181,14 @@ def _semigroup_query(args, a, b):
     sg = TwoGenSemigroup(a, b)
     shape = f"semigroup({a}, {b})"
     if args.gaps:
+        _check_trace_size(sg.genus)
         gaps = sg.gaps()
         return _Query(shape + " gaps", len(gaps), {"gaps": _strs(gaps)},
                       lambda budget: len(oracle.brute_gaps(a, b, budget=budget)))
     if args.apery is not None:
         s = parse_int(args.apery)
+        if s in (a, b):  # else apery names the non-generator
+            _check_trace_size(s)
         ap = sg.apery(s)
         # the count is the set's sum: a checksum that detects any wrong element
         return _Query(shape + f" apery({s})", sum(ap), {"apery": _strs(ap)},

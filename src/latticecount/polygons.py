@@ -21,17 +21,16 @@ from math import gcd
 from .rationals import parse_rational
 from .triangles import (
     HYPOTENUSE,
-    Segment,
-    StableRightTriangle,
     _as_point,
     _cross,
     _in_box,
     _integer_points,
-    _is_integral,
+    _on_lattice,
+    _segment_count,
+    _span,
+    _stable_right_quadrant,
     floor_sum,
-    rect_count,
-    segment_count,
-    stable_right_count,
+    quadrant_count,
 )
 
 CASE_DEGENERATE = "degenerate"
@@ -83,7 +82,7 @@ def triangle_case(t):
     two_opposite_corners is cut in two first, unless its third vertex
     lies on a side of the box, when it loses two right triangles like
     two_adjacent_corners.  A degenerate triangle is its segment hull."""
-    v = t.vertices
+    _, v = _integer_points(t.vertices)
     if _cross(*v) == 0:
         return CASE_DEGENERATE
     _, hits = _box_corners(v)
@@ -99,48 +98,54 @@ def triangle_case(t):
     return CASE_ONE_CORNER
 
 
-def _boxed_count(v):
-    """Count a nondegenerate triangle whose vertices all lie on the sides
-    of its tight bounding box: the box less, for each slanted edge u -> w,
-    the stable right triangle that the edge cuts off, hypotenuse excluded.
-    Its right angle is the corner (u.x, w.y) or (w.x, u.y) on the far side
-    of the edge, to the right of it when v runs counterclockwise."""
+def _boxed_count(L, v):
+    """Count a nondegenerate triangle on the scaled points v (scale L) whose
+    vertices all lie on the sides of its tight bounding box: the box less,
+    for each slanted edge u -> w, the stable right triangle that the edge
+    cuts off, hypotenuse excluded.  Its right angle is the corner (u.x, w.y)
+    or (w.x, u.y) on the far side of the edge, to the right of it when v
+    runs counterclockwise."""
     (x0, x1, y0, y1), _ = _box_corners(v)
-    total = rect_count((x0, y0), (x1, y1))
+    total = _span(x0, x1, L) * _span(y0, y1, L)
     ccw = _cross(*v) > 0
     for u, w in zip(v, v[1:] + v[:1]):
         if u[0] == w[0] or u[1] == w[1]:
             continue
         if ((w[0] > u[0]) == (w[1] > u[1])) != ccw:
-            cut = StableRightTriangle(corner=(u[0], w[1]), x_vertex=w, y_vertex=u)
+            cut = ((u[0], w[1]), w, u)
         else:
-            cut = StableRightTriangle(corner=(w[0], u[1]), x_vertex=u, y_vertex=w)
-        total -= stable_right_count(cut, exclude={HYPOTENUSE})
+            cut = ((w[0], u[1]), u, w)
+        total -= quadrant_count(*_stable_right_quadrant(L, *cut, {HYPOTENUSE}))
     return total
 
 
 def triangle_count(t):
     """Integral points in a closed triangle with rational vertices.
 
-    Degenerate (collinear) input counts the points of its segment hull.
-    A triangle whose vertices all lie on the sides of its tight bounding
-    box is the box less one stable right triangle per slanted edge
-    (_boxed_count).  Only a two_opposite_corners triangle can have a
-    vertex strictly inside the box: the vertical line through that vertex
-    cuts it into two triangles of the first kind, which share the cut
-    segment, so the segment is subtracted once.
+    Counts on the vertices scaled to integer points.  Degenerate
+    (collinear) input counts the points of its segment hull.  A triangle
+    whose vertices all lie on the sides of its tight bounding box is the
+    box less one stable right triangle per slanted edge (_boxed_count).
+    Only a two_opposite_corners triangle can have a vertex strictly inside
+    the box: the vertical line through that vertex cuts it into two
+    triangles of the first kind, which share the cut segment, so the
+    segment is subtracted once.
     """
-    v = t.vertices
+    L, v = _integer_points(t.vertices)
     if _cross(*v) == 0:
-        return segment_count(Segment(min(v), max(v)))
+        return _segment_count(L, min(v), max(v))
     (x0, x1, y0, y1), _ = _box_corners(v)
     for i, mid in enumerate(v):
         if x0 < mid[0] < x1 and y0 < mid[1] < y1:
+            # scaled by k = |run of the edge lo-hi|, the run is +-k*k and divides
+            # rise * (mid.x - lo.x), which gains k*k: the cut point is integral
             lo, hi = v[i - 1], v[i - 2]
-            cut = (mid[0], lo[1] + (hi[1] - lo[1]) * (mid[0] - lo[0]) / (hi[0] - lo[0]))
-            return (_boxed_count((lo, mid, cut)) + _boxed_count((mid, hi, cut))
-                    - segment_count(Segment(mid, cut)))
-    return _boxed_count(v)
+            k = abs(hi[0] - lo[0])
+            L, (lo, mid, hi) = L * k, [(x * k, y * k) for x, y in (lo, mid, hi)]
+            cut = (mid[0], lo[1] + (hi[1] - lo[1]) * (mid[0] - lo[0]) // (hi[0] - lo[0]))
+            return (_boxed_count(L, (lo, mid, cut)) + _boxed_count(L, (mid, hi, cut))
+                    - _segment_count(L, mid, cut))
+    return _boxed_count(L, v)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +291,12 @@ def pick_audit(p):
     The area comes from the shoelace sum, the boundary count from per-edge
     gcds, and the interior count from polygon_count minus the boundary.
     """
-    for vert in p.vertices:
-        if not _is_integral(vert):
+    L, pts = _integer_points(p.vertices)
+    for vert, pt in zip(p.vertices, pts):
+        if not _on_lattice(L, pt):
             raise ValueError(f"pick_audit requires integral vertices, got {vert}")
-    area = abs(signed_area2(p.vertices)) / 2
-    n = len(p.vertices)
-    boundary = 0
-    for i in range(n):
-        x0, y0 = p.vertices[i]
-        x1, y1 = p.vertices[(i + 1) % n]
-        boundary += gcd(int(x1 - x0), int(y1 - y0))
+    area = Fraction(abs(signed_area2(pts)), 2)
+    boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
     interior = polygon_count(p) - boundary
     holds = area == interior + Fraction(boundary, 2) - 1
     return PickAudit(area, interior, boundary, holds)

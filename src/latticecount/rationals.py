@@ -1,8 +1,8 @@
 """The text format of exact integers and rationals.
 
-Everything in this package runs on Python's unbounded ints and on
-fractions.Fraction (always stored in lowest terms with a positive
-denominator).  No floating point is used anywhere.
+Shapes keep their input as fractions.Fraction (lowest terms, positive
+denominator); every count runs on Python's unbounded ints, on those points
+scaled once by the lcm of their denominators.  No floating point is used.
 
 Division is floor-style throughout: the remainder of n mod d lies in
 [0, d) for d > 0, which is what Python's // and % already do.

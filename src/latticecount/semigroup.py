@@ -84,28 +84,25 @@ class TwoGenSemigroup:
     def denumerant(self, c):
         """Number of pairs (x, y) with x, y >= 0 and x*a + y*b = c.
 
-        Popoviciu's closed form: with a' solving a*a' = -c (mod b) and
-        b' solving b*b' = -c (mod a), the count is
-        (c + a*a' + b*b')/(a*b) - 1.  The congruence solutions are taken
-        in (0, b] and (0, a]: when the residue is 0 the representative
-        a' = b (resp. b' = a) is the one that makes the formula exact,
-        matching the fractional-part statement of the theorem.  A
-        generator equal to 1 needs no special case: modulo 1 the residue
-        is 0, and its representative 1 keeps the formula exact.  The
-        division by a*b is exact: b*b' = -c (mod a) makes the numerator
-        c + a*a' + b*b' a multiple of a, a*a' = -c (mod b) makes it a
-        multiple of b, and a, b are coprime.
+        Popoviciu's closed form (Beck and Robins, Computing the Continuous
+        Discretely, ch. 1): with a' = a^-1 mod b and b' = b^-1 mod a,
+        a*b times the count is c + a*b - b*(b'*c mod a) - a*(a'*c mod b).
+        The division by a*b is exact: b*(b'*c mod a) = c (mod a) makes the
+        numerator a multiple of a, a*(a'*c mod b) = c (mod b) makes it a
+        multiple of b, and a, b are coprime.  A generator equal to 1 needs
+        no special case: modulo 1 every residue is 0.
         """
         if c < 0:
             return 0
         a, b = self.a, self.b
-        ap = (-c % b) * pow(a, -1, b) % b
-        if ap == 0:
-            ap = b
-        bp = (-c % a) * pow(b, -1, a) % a
-        if bp == 0:
-            bp = a
-        return (c + a * ap + b * bp) // (a * b) - 1
+        residues = sum(other * (inv * c % mod) for mod, other, inv in _popoviciu_residues(a, b))
+        return (c + a * b - residues) // (a * b)
+
+
+def _popoviciu_residues(p, q):
+    """(modulus, other generator, inverse of the other modulo the modulus)
+    for the two residue terms of Popoviciu's formula."""
+    return (p, q, pow(q, -1, p)), (q, p, pow(p, -1, q))
 
 
 def denumerant2(a, b, c):

@@ -42,7 +42,11 @@ floor_sum calls in all.
 
 from math import gcd
 
+from .semigroup import _popoviciu_residues
 from .triangles import floor_sum, full_strips, quadrant_count
+
+# the most kernel steps a tetra_count may take: min(slices, residue classes)
+STEP_LIMIT = 10**6
 
 
 def _reduce(a1, a2, a3):
@@ -53,12 +57,6 @@ def _reduce(a1, a2, a3):
     p, q, s = sorted((a1, a2, a3))
     d = gcd(p, q)
     return p // d, q // d, s, d
-
-
-def _popoviciu_residues(p, q):
-    """(modulus, other generator, inverse of the other modulo the modulus)
-    for the two residue terms of Popoviciu's formula."""
-    return (p, q, pow(q, -1, p)), (q, p, pow(p, -1, q))
 
 
 def _floor_sums2(n, m, a, b):
@@ -122,13 +120,17 @@ def tetra_count(a1, a2, a3, b):
     xi >= 0.  Any positive generators are accepted; b < 0 gives 0.
 
     The closed form of the module docstring, or the slice loop when
-    b//s + 1 slices cost fewer steps than its p + q residue classes.  The
+    b//s + 1 slices cost fewer steps than its p + q residue classes; past
+    STEP_LIMIT steps on the cheaper route it raises ValueError.  The
     closed form builds p*q*T from Popoviciu's formula term by term; each
     term is p*q times the integer D(m), so the division by p*q is exact.
     """
     p, q, s, d = _reduce(a1, a2, a3)
     if b < 0:
         return 0
+    steps = min(b // s + 1, p + q)
+    if steps > STEP_LIMIT:
+        raise ValueError(f"tetra_count would take {steps} steps, over the limit of {STEP_LIMIT}")
     if b // s + 1 < p + q:
         return sum(tetra_slice_counts(a1, a2, a3, b))
     return _tetra_closed_form(p, q, s, d, b)

@@ -16,20 +16,19 @@ sum_{i<n} floor((a*i + b)/m), so a count costs O(log min(a, b))
 arithmetic steps on integers of the input's size.  Everything else
 (rational vertices, legs of rational length, non-coprime coefficients)
 reduces to this count by exact, lattice-preserving steps.
+
+The shapes store their exact Fraction input; every count runs on those
+points scaled once to integers by _integer_points (scale L, X = L*x).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 
 
 def _as_point(p):
     x, y = p
     return (Fraction(x), Fraction(y))
-
-
-def _is_integral(p):
-    return p[0].denominator == 1 and p[1].denominator == 1
 
 
 def _cross(o, a, b):
@@ -49,6 +48,16 @@ def _integer_points(points):
     scale = lcm(*(c.denominator for p in points for c in p))
     return scale, [(x.numerator * (scale // x.denominator),
                     y.numerator * (scale // y.denominator)) for x, y in points]
+
+
+def _on_lattice(L, p):
+    """Is the scaled point p (scale L) a lattice point?"""
+    return p[0] % L == 0 and p[1] % L == 0
+
+
+def _span(lo, hi, L):
+    """#{n in Z : lo <= L*n <= hi} = max(0, floor(hi/L) - ceil(lo/L) + 1)."""
+    return max(0, hi // L + (-lo) // L + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -167,30 +176,25 @@ class Segment:
 
 
 def segment_count(seg):
-    """Number of integral points on a closed segment.
+    """Number of integral points on a closed segment."""
+    L, (p, q) = _integer_points((seg.p, seg.q))
+    return _segment_count(L, p, q)
 
-    Axis-parallel segments use the floor/ceil span times the indicator
-    that the fixed coordinate is an integer.  A general segment lies on an
-    integer line a*x + b*y = c; there are no integral points unless
-    gcd(a, b) divides c, in which case the solutions form an arithmetic
-    progression (through the inverse of a mod b) clipped to the segment.
-    """
-    p, q = seg.p, seg.q
+
+def _segment_count(L, p, q):
+    """Integral points on the closed segment from p to q, points scaled by L.
+
+    The segment lies on an integer line a*x + b*y = c, with b != 0 once a
+    vertical segment is mirrored in y = x (a = 0 when it is horizontal).
+    There are no integral points unless gcd(a, b) divides c; then they form
+    an arithmetic progression, through the inverse of a mod b."""
     if p == q:
-        return 1 if _is_integral(p) else 0
+        return 1 if _on_lattice(L, p) else 0
     if p[0] == q[0]:
-        if p[0].denominator != 1:
-            return 0
-        lo, hi = sorted((p[1], q[1]))
-        return max(0, floor(hi) - ceil(lo) + 1)
-    if p[1] == q[1]:
-        if p[1].denominator != 1:
-            return 0
-        lo, hi = sorted((p[0], q[0]))
-        return max(0, floor(hi) - ceil(lo) + 1)
-    scale, ((px, py), (qx, qy)) = _integer_points((p, q))
+        p, q = p[::-1], q[::-1]
+    (px, py), (qx, qy) = p, q
     # the line a*x + b*y = c through p and q, on the unscaled coordinates
-    a, b = (qy - py) * scale, (px - qx) * scale
+    a, b = (qy - py) * L, (px - qx) * L
     c = (qy - py) * px + (px - qx) * py
     d = gcd(a, b)
     if c % d:
@@ -199,9 +203,9 @@ def segment_count(seg):
         d = -d
     a, b, c = a // d, b // d, c // d
     # solutions are x = c/a (mod b) plus t*b, t integer, b > 0; clip
-    # scale*x to the segment's scaled x-range
+    # L*x to the segment's scaled x-range
     lo, hi = sorted((px, qx))
-    step, x0 = scale * b, scale * (c * pow(a, -1, b) % b)
+    step, x0 = L * b, L * (c * pow(a, -1, b) % b)
     return max(0, (hi - x0) // step + (x0 - lo) // step + 1)
 
 
@@ -213,11 +217,10 @@ def segment_count(seg):
 def rect_count(lo, hi):
     """Integral points in the closed axis-aligned rectangle [lo, hi]."""
     lo, hi = _as_point(lo), _as_point(hi)
-    if lo[0] > hi[0] or lo[1] > hi[1]:
+    L, ((x0, y0), (x1, y1)) = _integer_points((lo, hi))
+    if x0 > x1 or y0 > y1:
         raise ValueError(f"reversed rectangle bounds {lo} .. {hi}")
-    nx = floor(hi[0]) - ceil(lo[0]) + 1
-    ny = floor(hi[1]) - ceil(lo[1]) + 1
-    return max(0, nx) * max(0, ny)
+    return _span(x0, x1, L) * _span(y0, y1, L)
 
 
 # ---------------------------------------------------------------------------
@@ -291,47 +294,48 @@ def stable_right_reduction(t, exclude=()):
         ("segment", seg)        the triangle is a segment
         ("quadrant", (a, b, c)) lattice count equals quadrant_count(a, b, c)
 
-    The quadrant reduction: reflect (x -> -x and/or y -> -y preserve the
+    The quadrant reduction runs on the vertices scaled to integer points
+    (scale L, X = L*x): reflect (x -> -x and/or y -> -y preserve the
     lattice) so the right-angle corner (alpha, beta) is the componentwise
-    minimum and the triangle is x >= alpha, y >= beta, a*x + b*y <= c;
-    lift the corner to the least lattice point of the quadrant, which
-    moves no lattice point across the hypotenuse; translate that point to
-    the origin; clear denominators.  With d = gcd(a, b), the lattice
-    values of a*x + b*y are multiples of d, so the bound may be floored
-    to d*floor(c/d) and everything divided by d.
+    minimum and the triangle is x >= alpha, y >= beta,
+    a*X + b*Y <= a*delta + b*beta; lift the corner to the least lattice
+    point of the quadrant, which moves no lattice point across the
+    hypotenuse; translate that point to the origin.  With d = gcd(a, b),
+    the lattice values of a*L*x + b*L*y are multiples of d*L, so the bound
+    c may be floored to a multiple of d*L and everything divided by d*L.
 
     exclude names boundary parts ("hypotenuse", "leg_x", "leg_y") to
     leave out, which makes their inequalities strict: without leg_y the
-    corner lifts to x0 = floor(alpha) + 1 instead of ceil(alpha), without
-    leg_x to y0 = floor(beta) + 1, and without the hypotenuse the cleared
-    bound c becomes c - 1.  A point or a segment is returned closed.
+    corner lifts to x0 = floor(alpha/L) + 1 instead of ceil(alpha/L),
+    without leg_x to y0 = floor(beta/L) + 1, and without the hypotenuse c
+    becomes c - 1.  A point or a segment is returned closed.  The result
+    does not depend on L: scaling the points and L by k multiplies a*L,
+    b*L, c and d*L by k*k, and floor((j*c - 1)/(j*m)) = floor((c - 1)/m)
+    for all integers j, m >= 1.
     """
     exclude = _boundary_parts(exclude)
-    alpha, beta = t.corner
-    delta = t.x_vertex[0]
-    gamma = t.y_vertex[1]
-    if delta == alpha and gamma == beta:
+    L, (corner, x_vertex, y_vertex) = _integer_points(t.vertices)
+    if x_vertex == corner == y_vertex:
         return ("point", t.corner)
-    if delta == alpha:
-        return ("segment", Segment(t.corner, t.y_vertex))
-    if gamma == beta:
-        return ("segment", Segment(t.corner, t.x_vertex))
+    if x_vertex == corner or y_vertex == corner:
+        return ("segment", t.leg_y if x_vertex == corner else t.leg_x)
+    return ("quadrant", _stable_right_quadrant(L, corner, x_vertex, y_vertex, exclude))
+
+
+def _stable_right_quadrant(L, corner, x_vertex, y_vertex, exclude):
+    """The (a, b, c) of stable_right_reduction for a non-degenerate
+    triangle on scaled points."""
+    (alpha, beta), delta, gamma = corner, x_vertex[0], y_vertex[1]
     sx = 1 if delta > alpha else -1
     sy = 1 if gamma > beta else -1
     alpha, delta = sx * alpha, sx * delta
     beta, gamma = sy * beta, sy * gamma
-    ar = gamma - beta
-    br = delta - alpha
-    cr = ar * delta + br * beta
-    x0 = floor(alpha) + 1 if LEG_Y in exclude else ceil(alpha)
-    y0 = floor(beta) + 1 if LEG_X in exclude else ceil(beta)
-    c_shift = cr - ar * x0 - br * y0
-    scale = lcm(ar.denominator, br.denominator, c_shift.denominator)
-    a, b, c = int(ar * scale), int(br * scale), int(c_shift * scale)
-    if HYPOTENUSE in exclude:
-        c -= 1
+    x0 = alpha // L + 1 if LEG_Y in exclude else -(-alpha // L)
+    y0 = beta // L + 1 if LEG_X in exclude else -(-beta // L)
+    a, b = gamma - beta, delta - alpha
+    c = a * (delta - L * x0) + b * (beta - L * y0) - (HYPOTENUSE in exclude)
     d = gcd(a, b)
-    return ("quadrant", (a // d, b // d, c // d))
+    return (a // d, b // d, c // (d * L))
 
 
 def stable_right_count(t, exclude=()):
@@ -345,12 +349,12 @@ def stable_right_count(t, exclude=()):
     short leg is the corner.
     """
     exclude = _boundary_parts(exclude)
-    kind, data = stable_right_reduction(t, exclude)
-    if kind == "quadrant":
-        return quadrant_count(*data)
-    vertical = t.x_vertex == t.corner
+    L, (corner, x_vertex, y_vertex) = _integer_points(t.vertices)
+    if x_vertex != corner and y_vertex != corner:
+        return quadrant_count(*_stable_right_quadrant(L, corner, x_vertex, y_vertex, exclude))
+    vertical = x_vertex == corner
     long_leg, short_leg = (LEG_Y, LEG_X) if vertical else (LEG_X, LEG_Y)
     if HYPOTENUSE in exclude or long_leg in exclude:
         return 0
-    corner = short_leg in exclude and _is_integral(t.corner)
-    return segment_count(t.leg_y if vertical else t.leg_x) - corner
+    return (_segment_count(L, corner, y_vertex if vertical else x_vertex)
+            - (short_leg in exclude and _on_lattice(L, corner)))

@@ -192,6 +192,32 @@ def test_trace_limit_counts_every_entry(capsys, monkeypatch):
     assert run_cli(capsys, "tetra", "6", "10", "15", "21")[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("semigroup", "100003", "100019", "--gaps"),
+    ("semigroup", "2", "1000000007", "--apery", "1000000007"),
+])
+def test_semigroup_list_over_the_limit_exits_1(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_semigroup_list_limit_counts_every_entry(capsys, monkeypatch):
+    # <3, 7> has 6 gaps, and its Apery set w.r.t. 7 has 7 elements
+    code, out, _ = run_cli(capsys, "semigroup", "1001", "1003", "--gaps", "--json")
+    assert code == 0 and json.loads(out)["count"] == "501000"
+    monkeypatch.setattr(cli, "TRACE_LIMIT", 6)
+    assert run_cli(capsys, "semigroup", "3", "7", "--gaps")[0] == 0
+    assert run_cli(capsys, "semigroup", "3", "7", "--apery", "7")[0] == 1
+    monkeypatch.setattr(cli, "TRACE_LIMIT", 5)
+    assert run_cli(capsys, "semigroup", "3", "7", "--gaps")[0] == 1
+    assert run_cli(capsys, "semigroup", "3", "7")[0] == 0
+    assert run_cli(capsys, "semigroup", "2", "1000000007", "--apery", "5") == (
+        1, "", "error: 5 is not a generator of <2, 1000000007>\n")
+
+
 def _count_calls(monkeypatch, modules, name):
     calls = []
     for module in modules:

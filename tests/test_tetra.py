@@ -214,6 +214,28 @@ def test_large_bounds_return_quickly(capsys, argv):
     assert int(json.loads(out)["count"]) > 0
 
 
+def test_tetra_over_the_step_limit_exits_1(capsys):
+    start = time.perf_counter()
+    code = cli.run(["tetra", "1000000007", "1000000009", "1000000021", str(10**30)])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tetra_count would take ") and err.count("\n") == 1
+    assert cli.run(["tetra", "100000", "100001", "100003", str(10**30)]) == 0
+    assert int(capsys.readouterr().out.split(": ")[1]) > 0
+
+
+def test_step_limit_counts_the_cheaper_route(monkeypatch):
+    # tetra 6 10 15 21: 2 slices against p + q = 8; tetra 1 1 1 10**12: p + q = 2
+    monkeypatch.setattr(tetra, "STEP_LIMIT", 2)
+    assert tetra_count(6, 10, 15, 21) == 9
+    assert tetra_count(1, 1, 1, 10**12) == comb(10**12 + 3, 3)
+    monkeypatch.setattr(tetra, "STEP_LIMIT", 1)
+    for gens, b in (((6, 10, 15), 21), ((1, 1, 1), 10**12)):
+        with pytest.raises(ValueError, match="2 steps"):
+            tetra_count(*gens, b)
+
+
 def test_large_bounds_against_other_closed_forms():
     b = 10**12
     assert tetra_count(1, 1, 1, b) == comb(b + 3, 3)

@@ -1,7 +1,8 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from corpus import rand_gcd_shift_instance, rand_point, rand_stable_right
 from latticecount.oracle import (
     brute_halfplane_quadrant,
+    brute_rect,
     brute_segment,
     brute_triangle,
     quadrant_count_floor_form,
@@ -208,6 +210,22 @@ def test_segment_count_against_brute_force():
     for _ in range(150):
         seg = Segment(rand_point(rng), rand_point(rng))
         assert segment_count(seg) == brute_segment(seg)
+
+
+def test_segments_and_rectangles_on_every_sixth_grid_pair():
+    """Every unordered pair of points on {k/6 : -6 <= k <= 6}^2, a point
+    paired with itself included: the segment between them and the
+    rectangle they span, against the oracle."""
+    grid = [(F(i, 6), F(j, 6)) for i in range(-6, 7) for j in range(-6, 7)]
+    kinds = Counter()
+    for p, q in combinations_with_replacement(grid, 2):
+        kinds["point" if p == q else "vertical" if p[0] == q[0]
+              else "horizontal" if p[1] == q[1] else "slanted"] += 1
+        seg = Segment(p, q)
+        assert segment_count(seg) == brute_segment(seg), seg
+        lo, hi = (min(p[0], q[0]), min(p[1], q[1])), (max(p[0], q[0]), max(p[1], q[1]))
+        assert rect_count(lo, hi) == brute_rect(lo, hi), (lo, hi)
+    assert kinds == {"point": 169, "vertical": 1014, "horizontal": 1014, "slanted": 12168}
 
 
 # --- stable right triangles -----------------------------------------------------

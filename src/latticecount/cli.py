@@ -87,7 +87,7 @@ def render_text(report):
         for key, value in report.trace.items():
             if isinstance(value, list):
                 value = ", ".join(str(v) for v in value)
-            lines.append(f"  {key}: {value}")
+            lines.append(f"  {key}: {value}".rstrip())
     if report.oracle is not None:
         verdict = "agreed" if report.agreed else "DISAGREED"
         lines.append(f"  oracle: {report.oracle} ({verdict})")
@@ -121,10 +121,11 @@ def _parse_exclude(values):
     return parts
 
 
-def _check_trace_size(entries):
-    """Refuse, before building it, a trace of more than TRACE_LIMIT entries."""
+def _check_trace_size(entries, flag="--trace"):
+    """Refuse, before building it, a list of more than TRACE_LIMIT entries;
+    the message names the flag that asks for the list."""
     if entries > TRACE_LIMIT:
-        raise ValueError(f"--trace would list {entries} entries, over the limit of {TRACE_LIMIT}")
+        raise ValueError(f"{flag} would list {entries} entries, over the limit of {TRACE_LIMIT}")
 
 
 def _thr_trace(a, b, c):
@@ -181,14 +182,14 @@ def _semigroup_query(args, a, b):
     sg = TwoGenSemigroup(a, b)
     shape = f"semigroup({a}, {b})"
     if args.gaps:
-        _check_trace_size(sg.genus)
+        _check_trace_size(sg.genus, "--gaps")
         gaps = sg.gaps()
         return _Query(shape + " gaps", len(gaps), {"gaps": _strs(gaps)},
                       lambda budget: len(oracle.brute_gaps(a, b, budget=budget)))
     if args.apery is not None:
         s = parse_int(args.apery)
         if s in (a, b):  # else apery names the non-generator
-            _check_trace_size(s)
+            _check_trace_size(s, "--apery")
         ap = sg.apery(s)
         # the count is the set's sum: a checksum that detects any wrong element
         return _Query(shape + f" apery({s})", sum(ap), {"apery": _strs(ap)},

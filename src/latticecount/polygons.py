@@ -9,8 +9,10 @@ corners) is first cut by the vertical line through that vertex into two
 triangles of that kind.
 
 A polygon is validated and counted on its vertices scaled to integer
-points, the count as one floor_sum per edge (edge_sum).  A Pick's-theorem
-audit is provided for integral-vertex polygons.
+points: validation as one O(n log n) sweep (Shamos-Hoey) over the edges,
+with the O(n^2) pairwise scan run only to name the first offending pair of
+an invalid polygon; the count as one floor_sum per edge (edge_sum).  A
+Pick's-theorem audit is provided for integral-vertex polygons.
 """
 
 from collections import namedtuple
@@ -193,28 +195,24 @@ def _segments_touch(a, b, c, d):
             or (o3 == 0 and _in_box(a, c, d)) or (o4 == 0 and _in_box(b, c, d)))
 
 
-def _validate_simple(verts):
-    """Raise ValueError unless the vertices form a strictly simple polygon;
-    return twice its signed area, scaled by a positive square.
+def _folds_back(u, v, w):
+    """Do the adjacent edges u-v and v-w overlap?  Exactly when they are
+    collinear and w folds back towards u."""
+    dot = (u[0] - v[0]) * (w[0] - v[0]) + (u[1] - v[1]) * (w[1] - v[1])
+    return dot > 0 and _cross(u, v, w) == 0
 
-    Runs on the integer points of the vertices.  Adjacent edges u-v, v-w
-    overlap exactly when they are collinear and w folds back towards u;
-    any other pair of edges must not touch at all.
-    """
-    n = len(verts)
-    if n < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-    _, pts = _integer_points(verts)
-    if len(set(pts)) != n:
-        raise ValueError("polygon has a repeated vertex")
+
+def _pairwise_scan(pts):
+    """Raise ValueError naming the first pair of edges i-j (by i, then j)
+    that overlap, when adjacent, or touch at all, when not.  O(n^2): it
+    runs only once such a pair is known to exist."""
+    n = len(pts)
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
         for j in range(i + 1, n):
             c, d = pts[j], pts[(j + 1) % n]
             if j == i + 1 or (i == 0 and j == n - 1):
-                u, v, w = (a, b, d) if j == i + 1 else (c, a, b)
-                dot = (u[0] - v[0]) * (w[0] - v[0]) + (u[1] - v[1]) * (w[1] - v[1])
-                if dot > 0 and _cross(u, v, w) == 0:
+                if _folds_back(*((a, b, d) if j == i + 1 else (c, a, b))):
                     raise ValueError(
                         f"polygon edges {i}-{(i + 1) % n} and {j}-{(j + 1) % n} overlap"
                     )
@@ -223,6 +221,82 @@ def _validate_simple(verts):
                     f"polygon is not simple: edges {i}-{(i + 1) % n} and "
                     f"{j}-{(j + 1) % n} intersect"
                 )
+
+
+def _sweep_touches(pts):
+    """Do two non-adjacent edges of the closed polygon pts touch?  For
+    distinct integer points with no adjacent fold-back; O(n log n)
+    orientation and touch tests.
+
+    The sweep of Shamos and Hoey, left to right over the vertices in
+    (x, y) order: the order of a line tilted infinitesimally off the
+    vertical, so no edge is parallel to it and no two vertices share it.
+    The status lists, bottom to top, the edges that cross the line.  At
+    a vertex the edges ending there leave first, then those starting
+    there enter, placed by binary search on orientation tests (a tie at a
+    shared left endpoint is broken by the far endpoint); each pair that
+    becomes neighbours in the status is tested, unless the edges are
+    adjacent in the polygon, which then meet only at their shared vertex.
+    Before the leftmost point P where two non-adjacent edges touch, no
+    status edges cross, so the status is in the order of the line.  The
+    edges through P that entered before it are then consecutive in the
+    status, each consecutive pair tested when it formed, and an edge
+    starting at P is placed next to the one it touches: a touching pair
+    is tested by the time the sweep leaves P.
+    """
+    n = len(pts)
+    ends = [(u, w) if u < w else (w, u) for u, w in zip(pts, pts[1:] + pts[:1])]
+    status = []
+
+    def touch(k, t):
+        return (k - t) % n not in (1, n - 1) and _segments_touch(*ends[k], *ends[t])
+
+    for v in sorted(range(n), key=pts.__getitem__):
+        p = pts[v]
+        for k in (v - 1) % n, v:
+            if ends[k][1] == p:
+                i = status.index(k)
+                del status[i]
+                if 0 < i < len(status) and touch(status[i - 1], status[i]):
+                    return True
+        for k in (v - 1) % n, v:
+            if ends[k][0] != p:
+                continue
+            q = ends[k][1]
+            lo, hi = 0, len(status)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                a, b = ends[status[mid]]
+                if (_cross(a, b, p) or _cross(a, b, q)) > 0:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            status.insert(lo, k)
+            if (lo > 0 and touch(k, status[lo - 1])
+                    or lo + 1 < len(status) and touch(k, status[lo + 1])):
+                return True
+    return False
+
+
+def _validate_simple(verts):
+    """Raise ValueError unless the vertices form a strictly simple polygon;
+    return twice its signed area, scaled by a positive square.
+
+    Runs on the integer points of the vertices.  Adjacent edges u-v, v-w
+    overlap exactly when they are collinear and w folds back towards u;
+    any other pair of edges must not touch at all, which a sweep decides
+    in O(n log n).  Only when an overlap or a touch is found does the
+    pairwise scan run, to name the first offending pair.
+    """
+    n = len(verts)
+    if n < 3:
+        raise ValueError(f"polygon needs at least 3 vertices, got {n}")
+    _, pts = _integer_points(verts)
+    if len(set(pts)) != n:
+        raise ValueError("polygon has a repeated vertex")
+    if (any(_folds_back(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n))
+            or _sweep_touches(pts)):
+        _pairwise_scan(pts)
     area2 = signed_area2(pts)
     if area2 == 0:
         raise ValueError("polygon has zero area")

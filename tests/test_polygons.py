@@ -16,6 +16,7 @@ from corpus import (
     rand_triangle_any,
     random_simple_polygon,
 )
+from latticecount import polygons
 from latticecount.oracle import brute_polygon, brute_triangle
 from latticecount.polygons import (
     CASE_DEGENERATE,
@@ -33,7 +34,14 @@ from latticecount.polygons import (
     triangle_case,
     triangle_count,
 )
-from latticecount.triangles import Segment, segment_count
+from latticecount.triangles import (
+    Segment,
+    _as_point,
+    _cross,
+    _in_box,
+    _integer_points,
+    segment_count,
+)
 
 F = Fraction
 
@@ -279,6 +287,111 @@ def test_validation_and_triangulation_scale_invariant():
         for k in (2, 3, 16, 1001):
             assert _outcome(tuple((F(x) / k, F(y) / k) for x, y in vertices)) == base
     assert seen == {True, False}
+
+
+# --- the sweep against the pairwise scan --------------------------------------
+# The sweep decides, and the pairwise scan only names the first offending
+# pair; on small half-integer grids almost every vertex list is degenerate.
+
+
+def _pairwise_outcome(vertices):
+    """_outcome with the pairwise scan run on every polygon."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polygons, "_sweep_touches", lambda pts: True)
+        return _outcome(vertices)
+
+
+def _pairwise_touch(pts):
+    try:
+        polygons._pairwise_scan(pts)
+    except ValueError:
+        return True
+    return False
+
+
+def _features(pts):
+    """The degeneracies of an integer vertex list that the sweep must see."""
+    n = len(pts)
+    edges = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
+    found = set()
+    if any(a[0] == b[0] for a, b in edges):
+        found.add("vertical edge")
+    if max(Counter(x for x, _ in pts).values()) >= 3:
+        found.add("three vertices on one x")
+    for k, (a, b) in enumerate(edges):
+        for t, (c, d) in enumerate(edges):
+            if (k - t) % n in (0, 1, n - 1):
+                continue
+            o1, o2, o3, o4 = _cross(a, b, c), _cross(a, b, d), _cross(c, d, a), _cross(c, d, b)
+            if o1 == 0 and _in_box(c, a, b):
+                found.add("vertex on a non-incident edge")
+                if o2 == 0:
+                    found.add("collinear overlapping edges")
+            if o1 * o2 < 0 and o3 * o4 < 0:
+                found.add("bowtie")
+    return found
+
+
+def test_sweep_agrees_with_the_pairwise_scan():
+    grid = [F(k, 2) for k in range(3)]
+    cases = list(itertools.product(itertools.product(grid, grid), repeat=4))
+    rng = random.Random(1976)
+    grid = [F(k, 2) for k in range(4)]
+    cases += [tuple((rng.choice(grid), rng.choice(grid)) for _ in range(rng.randint(3, 7)))
+              for _ in range(4000)]
+    # edges a-b and c-d on one row, column or diagonal, joined through two
+    # grid points: collinear non-adjacent edges, overlapping or not
+    lines = ([[(x, y) for x in grid] for y in grid] + [[(x, y) for y in grid] for x in grid]
+             + [list(zip(grid, grid)), list(zip(grid, reversed(grid)))])
+    for _ in range(1000):
+        a, b, c, d = rng.sample(rng.choice(lines), 4)
+        cases.append((a, b, (rng.choice(grid), rng.choice(grid)),
+                      c, d, (rng.choice(grid), rng.choice(grid))))
+    swept, features = Counter(), Counter()
+    for vertices in cases:
+        base = _outcome(vertices)
+        assert base == _pairwise_outcome(vertices), vertices
+        _, pts = _integer_points([_as_point(p) for p in vertices])
+        n = len(pts)
+        if len(set(pts)) < n or any(polygons._folds_back(pts[i - 1], pts[i], pts[(i + 1) % n])
+                                    for i in range(n)):
+            continue
+        touch = polygons._sweep_touches(pts)
+        assert touch == _pairwise_touch(pts), vertices
+        swept[touch] += 1
+        features.update(_features(pts))
+    assert min(swept[True], swept[False]) > 1000, swept
+    assert len(features) == 5 and min(features.values()) > 100, features
+
+
+def _comb(teeth, length):
+    """A simple polygon of 4 * teeth vertices: long horizontal teeth, all
+    overlapping in x, on a vertical spine."""
+    pts = [(0, 0)]
+    for k in range(teeth):
+        pts += [(length, 2 * k), (length, 2 * k + 1)]
+        if k < teeth - 1:
+            pts += [(1, 2 * k + 1), (1, 2 * k + 2)]
+    return pts + [(0, 2 * teeth - 1)]
+
+
+@pytest.mark.parametrize("shape", ["comb", "star"])
+def test_validation_work_is_bounded(monkeypatch, shape):
+    if shape == "comb":
+        pts = _comb(500, 10**6)
+    else:
+        pts = _star(random.Random(1000), 1000, 10**6, (7, 3))[1]
+    calls = []
+
+    def counted(*args, _touch=polygons._segments_touch):
+        calls.append(args)
+        return _touch(*args)
+
+    monkeypatch.setattr(polygons, "_segments_touch", counted)
+    n = len(pts)
+    assert n == (2000 if shape == "comb" else 1000)
+    assert len(Polygon(tuple(pts)).vertices) == n
+    assert 0 < len(calls) <= 4 * n
 
 
 def test_polygon_count_lattice_invariant():

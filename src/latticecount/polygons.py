@@ -285,8 +285,9 @@ def _validate_simple(verts):
     Runs on the integer points of the vertices.  Adjacent edges u-v, v-w
     overlap exactly when they are collinear and w folds back towards u;
     any other pair of edges must not touch at all, which a sweep decides
-    in O(n log n).  Only when an overlap or a touch is found does the
-    pairwise scan run, to name the first offending pair.
+    in O(n log n); a triangle has no such pair.  Only when an overlap or
+    a touch is found does the pairwise scan run, to name the first
+    offending pair.
     """
     n = len(verts)
     if n < 3:
@@ -295,7 +296,7 @@ def _validate_simple(verts):
     if len(set(pts)) != n:
         raise ValueError("polygon has a repeated vertex")
     if (any(_folds_back(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n))
-            or _sweep_touches(pts)):
+            or n > 3 and _sweep_touches(pts)):
         _pairwise_scan(pts)
     area2 = signed_area2(pts)
     if area2 == 0:

@@ -11,14 +11,26 @@ count and D their denumerant, so Q(c) = sum_{m <= c} D(m).
 
 Two routes give the same count.
 
-Slicing (tetra_slice_counts, shown by tetra --trace).  With
-c = k*p*q + r, 0 <= r < p*q, a slice is a closed form in k plus a value
-that depends on the residue r alone:
+Slicing (tetra_slice_counts, shown by tetra --trace).  Slice i has the
+bound c_i = (b - s*i)//d; with c = k*p*q + r, 0 <= r < p*q, its count is
+a closed form in k plus a value that depends on the residue r alone:
 
-    Q(c) = (the k full strips of the quadrant count) + Q(r)
+    S(i) = Q(c_i) = (the k full strips of the quadrant count) + Q(r).
 
-so Q(r) is one kernel call, remembered for the slices that share r, and
-a count costs one step per slice: O(b/s).
+The residues are periodic, as Ehrhart theory predicts for the slices of
+a rational polytope (Beck and Robins, ch. 3): with
+T = d*p*q / gcd(s, d*p*q), slice i + T has the residue of slice i and
+K = s*T / (d*p*q) fewer full strips.  The Q(r) cancel, so
+
+    S(i + T) - S(i) = -full_strips(p, q, K, c_i) = -(K*c_i + E),
+    E = K*(p + q + 1 - p*q*K)/2,
+
+and that difference grows by K*K*p*q from one period to the next; the
+same holds for any multiple of T.  So of the n = b//s + 1 slices, the
+kernel runs once per distinct residue of one row, a multiple of T and
+at least isqrt(n) wide, and each later row is two element-wise
+additions: at most min(T + isqrt(n), p*q) kernel calls, and O(n)
+additions made by map rather than by a Python step each.
 
 Closed form (tetra_count, denumerant3).  Popoviciu's formula (Beck and
 Robins, Computing the Continuous Discretely, ch. 1) writes the
@@ -40,7 +52,9 @@ progression, on which each residue term is (A*j + B) mod p (mod q): two
 floor_sum calls in all.
 """
 
-from math import gcd
+from itertools import repeat
+from math import gcd, isqrt
+from operator import add, mod
 
 from .semigroup import _popoviciu_residues
 from .triangles import floor_sum, full_strips, quadrant_count
@@ -98,20 +112,35 @@ def _floor_sums2(n, m, a, b):
 
 def tetra_slice_counts(a1, a2, a3, b):
     """Per-slice lattice counts, slicing x3' = 0, 1, ... along the largest
-    generator; empty for b < 0."""
+    generator; empty for b < 0.
+
+    The slices come in rows of width slices, width the smallest multiple
+    of the period that is at least isqrt(slices).  The first row costs one
+    kernel call per distinct residue modulo p*q in it; every later row is
+    the row above plus a row of differences, which itself grows by a
+    constant (module docstring).
+    """
     p, q, s, d = _reduce(a1, a2, a3)
     if b < 0:
         return []
+    n = b // s + 1
     pq = p * q
-    tails = {}  # Q(r) by residue r; at most min(p*q, slices) entries
-    out = []
-    for i in range(b // s + 1):
-        c = (b - s * i) // d
-        k, r = divmod(c, pq)
-        tail = tails.get(r)
-        if tail is None:
-            tail = tails[r] = quadrant_count(p, q, r)
-        out.append(full_strips(p, q, k, c) + tail)
+    period = d * pq // gcd(s, d * pq)
+    width = min(-(-isqrt(n) // period) * period, n)
+    bounds = [c // d for c in range(b, b - s * width, -s)]
+    tails = dict.fromkeys(map(mod, bounds, repeat(pq)))  # Q(r) by residue r
+    for r in tails:
+        tails[r] = quadrant_count(p, q, r)
+    out = row = [full_strips(p, q, c // pq, c) + tails[c % pq] for c in bounds]
+    if width < n:
+        k = s * width // (d * pq)  # a slice has k full strips more than the one a row below
+        diffs = [-full_strips(p, q, k, c) for c in bounds[:n - width]]  # shorter when one row is left
+        grow = repeat(k * k * pq)
+        for _ in range((n - 1) // width):
+            row = list(map(add, row, diffs))
+            out += row
+            diffs = list(map(add, diffs, grow))
+        del out[n:]
     return out
 
 

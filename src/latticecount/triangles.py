@@ -150,7 +150,9 @@ def quadrant_blocks(a, b, c):
     if a > b:
         a, b = b, a
     k = c // (a * b)
-    blocks = [full_strips(a, b, i + 1, c) - full_strips(a, b, i, c) for i in range(k)]
+    # full_strips(a, b, i + 1, c) - full_strips(a, b, i, c) falls by a*b per block
+    first = full_strips(a, b, 1, c)
+    blocks = list(range(first, first - a * b * k, -a * b))
     r = c - k * a * b
     tail = tuple((r - i * b) // a + 1 for i in range(r // b + 1))
     blocks.append(sum(tail))

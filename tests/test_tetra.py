@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -5,7 +6,7 @@ import subprocess
 import sys
 import time
 from itertools import permutations
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 
@@ -105,6 +106,75 @@ def test_slices_are_reduced_quadrant_counts(gens):
     for b in (0, 1, 59, 997, 5003):
         expected = [quadrant_count(p // d, q // d, (b - s * i) // d) for i in range(b // s + 1)]
         assert tetra_slice_counts(*gens, b) == expected, b
+
+
+def _period_and_width(gens, b):
+    """(T, W) of tetra_slice_counts: the period of the slice residues and
+    the width of a row, the smallest multiple of T that is at least
+    isqrt(n), capped at the number of slices n."""
+    p, q, s, d = _reduce(*gens)
+    n = max(0, b // s + 1)
+    period = d * p * q // gcd(s, d * p * q)
+    return period, min(-(-isqrt(n) // period) * period, n)
+
+
+def test_slice_rows_against_the_slice_definition():
+    """The row recurrence gives each slice its own kernel count, in every
+    regime of the period T, the row width W and the slice count n."""
+    rng = random.Random(60)
+    seen = dict.fromkeys(("n < T", "T <= n < 2T", "n = k*W", "n = k*W + 1", "gcd(s, d) > 1",
+                          "repeated residues", "b < s", "b < 0", "(1, 1, 1)"), 0)
+    for case in range(1500):
+        gens = [1, 1, 1] if case % 50 == 0 else [rng.randint(1, 60) for _ in range(3)]
+        p, q, s, d = _reduce(*gens)
+        period, _ = _period_and_width(gens, 0)
+        rows = rng.randint(1, 3) * period
+        n = rng.choice([rows - 1, rows, rows + 1, rng.randint(1, 3 * period + 300), 1, 0])
+        b = s * (n - 1) + rng.randrange(s)
+        expected = [quadrant_count(p, q, (b - s * i) // d) for i in range(n)]
+        assert tetra_slice_counts(*gens, b) == expected, (gens, b)
+        _, width = _period_and_width(gens, b)
+        seen["n < T"] += 0 < n < period
+        seen["T <= n < 2T"] += period <= n < 2 * period
+        seen["n = k*W"] += n >= 2 * width > 0 and n % width == 0
+        seen["n = k*W + 1"] += n > width > 0 and n % width == 1
+        seen["gcd(s, d) > 1"] += gcd(s, d) > 1
+        seen["repeated residues"] += gcd(s, d * p * q) < d and n > 1
+        seen["b < s"] += 0 <= b < s
+        seen["b < 0"] += b < 0
+        seen["(1, 1, 1)"] += gens == [1, 1, 1]
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("gens, b", [
+    ((5, 7, 12), 12 * 10**6 - 1),
+    ((4, 6, 7), 7 * 600 - 1),  # T = 12, each residue twice per period
+    ((100, 102, 10301), 10301 * 5100 - 1),  # n = T = 5100, each residue twice
+], ids=["10**6 slices", "rows of two periods", "one period"])
+def test_slice_rows_bound_the_kernel_calls(monkeypatch, gens, b):
+    """At most T + isqrt(n) kernel calls, one row's worth, and never more
+    than one per residue class modulo p*q."""
+    calls = []
+    kernel = tetra.quadrant_count
+    monkeypatch.setattr(tetra, "quadrant_count", lambda *args: calls.append(args) or kernel(*args))
+    slices = tetra_slice_counts(*gens, b)
+    p, q, s, d = _reduce(*gens)
+    n = b // s + 1
+    period, _ = _period_and_width(gens, b)
+    assert len(slices) == n
+    assert 0 < len(calls) <= min(period + isqrt(n), p * q), len(calls)
+    assert slices[-1] == quadrant_count(p, q, (b - s * (n - 1)) // d)
+
+
+def test_million_slice_trace_sums_to_the_count():
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["tetra", "5", "7", "12", "11999999", "--trace", "--json"], out, err) == 0
+    assert err.getvalue() == ""
+    report = json.loads(out.getvalue())
+    slices = report["trace"]["slices"]
+    assert len(slices) == 10**6
+    total = sum(map(int, slices))
+    assert total == int(report["count"]) == _tetra_closed_form(*_reduce(5, 7, 12), 11999999)
 
 
 def test_denumerant3_with_no_admissible_slice():

@@ -26,6 +26,7 @@ from latticecount.triangles import (
     Segment,
     StableRightTriangle,
     floor_sum,
+    full_strips,
     quadrant_blocks,
     quadrant_count,
     rect_count,
@@ -169,6 +170,28 @@ def test_blocks_sum_and_semigroup_sections():
             # each strip is a section of the semigroup: counts in [0, c - i*ab]
             for i, size in enumerate(trace.block_counts):
                 assert size == s.count_upto(c - i * a * b)
+
+
+def test_blocks_are_the_full_strip_differences():
+    """The full blocks built as one arithmetic progression equal the
+    per-block differences of full_strips, for either order of (a, b)."""
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(3000):
+        a, b = rng.randint(1, 60), rng.randint(1, 60)
+        if gcd(a, b) != 1:
+            continue
+        c = rng.randint(0, 40 * a * b)
+        lo, hi = sorted((a, b))
+        k = c // (a * b)
+        expected = tuple(full_strips(lo, hi, i + 1, c) - full_strips(lo, hi, i, c)
+                         for i in range(k))
+        trace = quadrant_blocks(a, b, c)
+        assert (trace.k, trace.block_counts[:-1]) == (k, expected), (a, b, c)
+        assert trace.total == quadrant_count(a, b, c), (a, b, c)
+        seen["a > b"] += a > b
+        seen["k = 0"] += k == 0
+    assert min(seen["a > b"], seen["k = 0"]) >= 20, seen
 
 
 # --- rectangles ---------------------------------------------------------------

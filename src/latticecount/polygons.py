@@ -1,18 +1,16 @@
 """Integral points in general rational triangles and simple polygons.
 
-A general triangle is counted through its tight bounding box.  When
-every vertex lies on a side of the box, the triangle is the box less one
-stable right triangle per slanted edge: the one the edge cuts off from
-the box, counted without its hypotenuse.  A triangle with a vertex
-strictly inside the box (only possible with the other two at opposite
-corners) is first cut by the vertical line through that vertex into two
-triangles of that kind.
+A triangle or polygon is counted on its vertices scaled once to integer
+points, as one floor_sum per edge (edge_sum): the region under an edge
+is a rectangle plus a stable right triangle.  A triangle is the polygon
+with three edges, and a degenerate one is its segment hull.
+triangle_case names the bounding-box case of a triangle, for reports
+and tests; the count does not depend on it.
 
-A polygon is validated and counted on its vertices scaled to integer
-points: validation as one O(n log n) sweep (Shamos-Hoey) over the edges,
-with the O(n^2) pairwise scan run only to name the first offending pair of
-an invalid polygon; the count as one floor_sum per edge (edge_sum).  A
-Pick's-theorem audit is provided for integral-vertex polygons.
+A polygon is validated on its scaled vertices as one O(n log n) sweep
+(Shamos-Hoey) over the edges, with the O(n^2) pairwise scan run only to
+name the first offending pair of an invalid polygon.  A Pick's-theorem
+audit is provided for integral-vertex polygons.
 """
 
 from collections import namedtuple
@@ -22,17 +20,13 @@ from math import gcd
 
 from .rationals import parse_rational
 from .triangles import (
-    HYPOTENUSE,
     _as_point,
     _cross,
     _in_box,
     _integer_points,
     _on_lattice,
     _segment_count,
-    _span,
-    _stable_right_quadrant,
     floor_sum,
-    quadrant_count,
 )
 
 CASE_DEGENERATE = "degenerate"
@@ -66,28 +60,20 @@ class Triangle:
         return (self.v1, self.v2, self.v3)
 
 
-def _box_corners(v):
-    """The tight bounding box (x0, x1, y0, y1) of the points v, and the
-    points of v at its corners, in the order of v."""
-    xs = [p[0] for p in v]
-    ys = [p[1] for p in v]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    return (x0, x1, y0, y1), [p for p in v if p[0] in (x0, x1) and p[1] in (y0, y1)]
-
-
 def triangle_case(t):
-    """Classify a triangle by how many of its vertices are corners of its
-    tight bounding box (the box always owns at least one vertex of a
-    nondegenerate triangle).  The case names what triangle_count takes
-    from the box: one stable right triangle for stable_right (its one
-    slanted edge), two for two_adjacent_corners, three for one_corner;
-    two_opposite_corners is cut in two first, unless its third vertex
-    lies on a side of the box, when it loses two right triangles like
-    two_adjacent_corners.  A degenerate triangle is its segment hull."""
+    """Classify a triangle for `tri --trace` and the tests, by how many of
+    its vertices are corners of its tight bounding box (the box always owns
+    at least one vertex of a nondegenerate triangle): three for
+    stable_right, two on one side of the box for two_adjacent_corners, two
+    at opposite corners for two_opposite_corners, one for one_corner.
+    These are the cases of the paper's bounding-box rule; triangle_count
+    counts every case the same way.  A degenerate triangle is its own case."""
     _, v = _integer_points(t.vertices)
     if _cross(*v) == 0:
         return CASE_DEGENERATE
-    _, hits = _box_corners(v)
+    xs, ys = zip(*v)
+    box_x, box_y = (min(xs), max(xs)), (min(ys), max(ys))
+    hits = [p for p in v if p[0] in box_x and p[1] in box_y]
     if len(hits) == 3:
         return CASE_STABLE
     if len(hits) == 2:
@@ -100,54 +86,19 @@ def triangle_case(t):
     return CASE_ONE_CORNER
 
 
-def _boxed_count(L, v):
-    """Count a nondegenerate triangle on the scaled points v (scale L) whose
-    vertices all lie on the sides of its tight bounding box: the box less,
-    for each slanted edge u -> w, the stable right triangle that the edge
-    cuts off, hypotenuse excluded.  Its right angle is the corner (u.x, w.y)
-    or (w.x, u.y) on the far side of the edge, to the right of it when v
-    runs counterclockwise."""
-    (x0, x1, y0, y1), _ = _box_corners(v)
-    total = _span(x0, x1, L) * _span(y0, y1, L)
-    ccw = _cross(*v) > 0
-    for u, w in zip(v, v[1:] + v[:1]):
-        if u[0] == w[0] or u[1] == w[1]:
-            continue
-        if ((w[0] > u[0]) == (w[1] > u[1])) != ccw:
-            cut = ((u[0], w[1]), w, u)
-        else:
-            cut = ((w[0], u[1]), u, w)
-        total -= quadrant_count(*_stable_right_quadrant(L, *cut, {HYPOTENUSE}))
-    return total
-
-
 def triangle_count(t):
     """Integral points in a closed triangle with rational vertices.
 
     Counts on the vertices scaled to integer points.  Degenerate
-    (collinear) input counts the points of its segment hull.  A triangle
-    whose vertices all lie on the sides of its tight bounding box is the
-    box less one stable right triangle per slanted edge (_boxed_count).
-    Only a two_opposite_corners triangle can have a vertex strictly inside
-    the box: the vertical line through that vertex cuts it into two
-    triangles of the first kind, which share the cut segment, so the
-    segment is subtracted once.
+    (collinear) input counts the points of its segment hull.  Otherwise the
+    three vertices form a simple polygon, counted like any other by the
+    terms of edge_sum, taken counterclockwise.
     """
     L, v = _integer_points(t.vertices)
-    if _cross(*v) == 0:
+    turn = _cross(*v)
+    if turn == 0:
         return _segment_count(L, min(v), max(v))
-    (x0, x1, y0, y1), _ = _box_corners(v)
-    for i, mid in enumerate(v):
-        if x0 < mid[0] < x1 and y0 < mid[1] < y1:
-            # scaled by k = |run of the edge lo-hi|, the run is +-k*k and divides
-            # rise * (mid.x - lo.x), which gains k*k: the cut point is integral
-            lo, hi = v[i - 1], v[i - 2]
-            k = abs(hi[0] - lo[0])
-            L, (lo, mid, hi) = L * k, [(x * k, y * k) for x, y in (lo, mid, hi)]
-            cut = (mid[0], lo[1] + (hi[1] - lo[1]) * (mid[0] - lo[0]) // (hi[0] - lo[0]))
-            return (_boxed_count(L, (lo, mid, cut)) + _boxed_count(L, (mid, hi, cut))
-                    - _segment_count(L, mid, cut))
-    return _boxed_count(L, v)
+    return sum(_edge_terms(L, v if turn > 0 else v[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +274,12 @@ def edge_sum(p):
     on an upward vertical line; minus each reflex vertex whose neighbours
     both have x > its x, where two covered intervals meet.
     """
-    L, pts = _integer_points(p.vertices)
+    return _edge_terms(*_integer_points(p.vertices))
+
+
+def _edge_terms(L, pts):
+    """The EdgeSum of edge_sum, for a simple polygon given by its
+    counterclockwise vertices pts, scaled to integer points by L."""
     n = len(pts)
     columns = correction = 0
     for i in range(n):
@@ -364,7 +320,7 @@ def pick_audit(p):
     integral-vertex polygon; returns the exact ingredients and the verdict.
 
     The area comes from the shoelace sum, the boundary count from per-edge
-    gcds, and the interior count from polygon_count minus the boundary.
+    gcds, and the interior count from the edge sum minus the boundary.
     """
     L, pts = _integer_points(p.vertices)
     for vert, pt in zip(p.vertices, pts):
@@ -372,7 +328,7 @@ def pick_audit(p):
             raise ValueError(f"pick_audit requires integral vertices, got {vert}")
     area = Fraction(abs(signed_area2(pts)), 2)
     boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-    interior = polygon_count(p) - boundary
+    interior = sum(_edge_terms(L, pts)) - boundary
     holds = area == interior + Fraction(boundary, 2) - 1
     return PickAudit(area, interior, boundary, holds)
 

@@ -35,12 +35,16 @@ from latticecount.polygons import (
     triangle_count,
 )
 from latticecount.triangles import (
+    HYPOTENUSE,
     Segment,
+    StableRightTriangle,
     _as_point,
     _cross,
     _in_box,
     _integer_points,
+    rect_count,
     segment_count,
+    stable_right_count,
 )
 
 F = Fraction
@@ -195,12 +199,42 @@ def test_triangle_count_is_additive_over_a_split(pts, t):
                                                  - segment_count(Segment(a, p)))
 
 
-def test_triangle_count_equals_the_edge_sum_far_from_the_origin():
-    """triangle_count (the bounding box less its cut-offs) and the per-edge
-    column sum of polygon_count are independent closed forms.  They agree
-    on 3,000 triangles near 1e18 with denominators up to 1e9 + 7, far past
-    the oracle's reach: each case generator's triangle under a random
-    lattice symmetry, stretched and shifted per axis, which keeps its case."""
+def _bounding_box_rule(t):
+    """The paper's count of a nondegenerate triangle, on exact Fractions
+    through public counts only.  With every vertex on a side of its tight
+    bounding box, the triangle is the box less, per slanted edge, the
+    stable right triangle that the edge cuts off, hypotenuse excluded: its
+    right angle is the corner of the box at (u.x, w.y) or (w.x, u.y) on the
+    far side of the edge from the third vertex.  A triangle with a vertex
+    strictly inside the box is cut by the vertical line through that vertex
+    into two such triangles, which share the cut segment."""
+    v = list(t.vertices)
+    xs, ys = zip(*v)
+    for i, mid in enumerate(v):
+        if min(xs) < mid[0] < max(xs) and min(ys) < mid[1] < max(ys):
+            lo, hi = v[i - 1], v[i - 2]
+            cut = (mid[0], lo[1] + (hi[1] - lo[1]) * (mid[0] - lo[0]) / (hi[0] - lo[0]))
+            return (_bounding_box_rule(Triangle(lo, mid, cut))
+                    + _bounding_box_rule(Triangle(mid, hi, cut))
+                    - segment_count(Segment(mid, cut)))
+    total = rect_count((min(xs), min(ys)), (max(xs), max(ys)))
+    for i, (u, w) in enumerate(zip(v, v[1:] + v[:1])):
+        if u[0] == w[0] or u[1] == w[1]:
+            continue
+        third = v[i - 1]
+        cut = StableRightTriangle((u[0], w[1]), w, u)
+        if (_cross(u, w, cut.corner) > 0) == (_cross(u, w, third) > 0):
+            cut = StableRightTriangle((w[0], u[1]), u, w)
+        total -= stable_right_count(cut, exclude={HYPOTENUSE})
+    return total
+
+
+def test_triangle_count_equals_the_bounding_box_rule_far_from_the_origin():
+    """triangle_count (one floor_sum per edge) and the paper's bounding-box
+    rule are independent decompositions.  They agree on 3,000 triangles
+    near 1e18 with denominators up to 1e9 + 7, far past the oracle's reach:
+    each case generator's triangle under a random lattice symmetry,
+    stretched and shifted per axis, which keeps its case."""
     rng = random.Random(9)
     cases = Counter()
     for i in range(3000):
@@ -213,7 +247,7 @@ def test_triangle_count_equals_the_edge_sum_far_from_the_origin():
         t = Triangle(*((shift[0] + x * stretch[0], shift[1] + y * stretch[1])
                        for x, y in small.vertices))
         cases[triangle_case(t)] += 1
-        assert triangle_count(t) == polygon_count(Polygon(t.vertices)), t
+        assert triangle_count(t) == _bounding_box_rule(t), t
     assert set(cases) == set(TRIANGLE_CASES) - {CASE_DEGENERATE}
 
 

@@ -3,9 +3,9 @@
 One subcommand per counted shape or semigroup query, exact rational
 input everywhere the geometry allows it, optional decomposition traces
 (--trace, refused past TRACE_LIMIT entries) and optional brute-force
-cross-checking (--check).  Every subcommand is one row of the
-SUBCOMMANDS table; build_parser and run read that table and hold no
-per-subcommand code.
+cross-checking (--check).  Every subcommand is one query function,
+listed in one row of the SUBCOMMANDS table; build_parser and run read
+that table and hold no per-subcommand code.
 
 Exit codes: 0 success, 1 input error, 2 the brute-force check disagreed
 with the reported count.
@@ -20,7 +20,6 @@ import sys
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout, suppress
 from dataclasses import dataclass
-from typing import Callable
 
 from . import oracle
 from .polygons import (
@@ -94,7 +93,7 @@ def render_text(report):
     return "\n".join(lines)
 
 
-# --- helpers the table rows call -------------------------------------------
+# --- helpers the query functions call --------------------------------------
 
 
 def _strs(values):
@@ -128,41 +127,86 @@ def _check_trace_size(entries, flag="--trace"):
         raise ValueError(f"{flag} would list {entries} entries, over the limit of {TRACE_LIMIT}")
 
 
-def _thr_trace(a, b, c):
-    if c < 0:
-        return {"k": 0, "blocks": [], "tail_terms": []}
-    k, r = divmod(c, a * b)
-    _check_trace_size(k + 2 + r // max(a, b))  # k + 1 blocks, r // max(a, b) + 1 tail terms
-    blocks = quadrant_blocks(a, b, c)
-    return {"k": blocks.k, "blocks": _strs(blocks.block_counts),
-            "tail_terms": _strs(blocks.tail_terms)}
+# --- one query function per subcommand -------------------------------------
+
+# a query makes its count before its trace, so a bad input is reported as
+# such, not as a trace over the limit or a failure of the trace's arithmetic
+_Query = namedtuple("_Query", ["shape", "count", "trace", "oracle"])
 
 
-def _rtri_trace(tri, parts):
-    kind, data = stable_right_reduction(tri)
-    trace = {"reduction": kind}
-    if kind == "quadrant":
-        trace.update(zip("abc", _strs(data)))
-    if parts:
-        trace["excluded"] = sorted(parts)
-    return trace
+def _thr_query(args, a, b, c):
+    count, trace = quadrant_count(a, b, c), None
+    if args.trace and c < 0:
+        trace = {"k": 0, "blocks": [], "tail_terms": []}
+    elif args.trace:
+        k, r = divmod(c, a * b)
+        _check_trace_size(k + 2 + r // max(a, b))  # k + 1 blocks, r // max(a, b) + 1 tail terms
+        blocks = quadrant_blocks(a, b, c)
+        trace = {"k": blocks.k, "blocks": _strs(blocks.block_counts),
+                 "tail_terms": _strs(blocks.tail_terms)}
+    return _Query(f"thr({a}, {b}, {c})", count, trace,
+                  lambda budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget))
 
 
-def _sum_and_terms(terms):
-    """(total, trace) of a namedtuple of counts: the trace names each term."""
-    return sum(terms), dict(zip(terms._fields, _strs(terms)))
+def _rect_query(args, x0, y0, x1, y1):
+    return _Query(f"rect({x0}, {y0}, {x1}, {y1})", rect_count((x0, y0), (x1, y1)), None,
+                  lambda budget: oracle.brute_rect((x0, y0), (x1, y1), budget=budget))
 
 
-def _tetra_count_and_trace(a1, a2, a3, b):
-    if min(a1, a2, a3) >= 1:  # else tetra_slice_counts rejects the generators
-        _check_trace_size(b // max(a1, a2, a3) + 1)
-    slices = tetra_slice_counts(a1, a2, a3, b)
-    return sum(slices), {"slices": _strs(slices)}
+def _rtri_query(args, ax, ay, bx, by, cx, cy):
+    tri = StableRightTriangle(corner=(ax, ay), y_vertex=(bx, by), x_vertex=(cx, cy))
+    parts = _parse_exclude(args.exclude)
+    count, trace = stable_right_count(tri, exclude=parts), None
+    if args.trace:
+        kind, data = stable_right_reduction(tri)
+        trace = {"reduction": kind}
+        if kind == "quadrant":
+            trace.update(zip("abc", _strs(data)))
+        if parts:
+            trace["excluded"] = sorted(parts)
+    return _Query(f"rtri(A=({ax}, {ay}), B=({bx}, {by}), C=({cx}, {cy}))", count, trace,
+                  lambda budget: oracle.brute_triangle(
+                      Triangle(*tri.vertices), exclude_segments=tri.boundary_segments(parts),
+                      budget=budget))
 
 
-def _pick_trace(poly, audit):
-    return {"area": format_rational(audit.area), "interior": str(audit.interior),
-            "boundary": str(audit.boundary), "holds": audit.holds}
+def _tri_query(args, x1, y1, x2, y2, x3, y3):
+    tri = Triangle((x1, y1), (x2, y2), (x3, y3))
+    return _Query(f"tri({x1}, {y1}, {x2}, {y2}, {x3}, {y3})", triangle_count(tri),
+                  {"case": triangle_case(tri)} if args.trace else None,
+                  lambda budget: oracle.brute_triangle(tri, budget=budget))
+
+
+def _poly_query(args, poly):
+    if args.trace:  # one edge-sum pass gives the count and its named terms
+        terms = edge_sum(poly)
+        count, trace = sum(terms), dict(zip(terms._fields, _strs(terms)))
+    else:
+        count, trace = polygon_count(poly), None
+    return _Query(f"poly(n={len(poly.vertices)})", count, trace,
+                  lambda budget: oracle.brute_polygon(poly, budget=budget))
+
+
+def _tetra_query(args, a1, a2, a3, b):
+    if args.trace:  # one slice pass gives the count and the slices
+        if min(a1, a2, a3) >= 1:  # else tetra_slice_counts rejects the generators
+            _check_trace_size(b // max(a1, a2, a3) + 1)
+        slices = tetra_slice_counts(a1, a2, a3, b)
+        count, trace = sum(slices), {"slices": _strs(slices)}
+    else:
+        count, trace = tetra_count(a1, a2, a3, b), None
+    return _Query(f"tetra({a1}, {a2}, {a3}; {b})", count, trace,
+                  lambda budget: oracle.brute_tetra(a1, a2, a3, b, budget=budget))
+
+
+def _denumerant_query(args, a, b, c):
+    return _Query(f"denumerant({c}; {a}, {b})", TwoGenSemigroup(a, b).denumerant(c), None,
+                  lambda budget: oracle.brute_denumerant2(a, b, c, budget=budget))
+
+
+def _denumerant3_query(args, a1, a2, a3, n):
+    return _Query(f"denumerant({n}; {a1}, {a2}, {a3})", denumerant3(a1, a2, a3, n), None,
+                  lambda budget: oracle.brute_denumerant3(a1, a2, a3, n, budget=budget))
 
 
 def _semigroup_options(sp):
@@ -173,12 +217,9 @@ def _semigroup_options(sp):
     group.add_argument("--upto", metavar="C", help="count elements in [0, C]")
 
 
-_Query = namedtuple("_Query", ["shape", "count", "trace", "oracle"])
-
-
 def _semigroup_query(args, a, b):
-    """The one semigroup query the mode flags select; its oracle takes the
-    cell budget."""
+    """The one semigroup query the mode flags select; its list or
+    invariants are always shown."""
     sg = TwoGenSemigroup(a, b)
     shape = f"semigroup({a}, {b})"
     if args.gaps:
@@ -207,6 +248,14 @@ def _semigroup_query(args, a, b):
                   lambda budget: len(oracle.brute_gaps(a, b, budget=budget)))
 
 
+def _pick_query(args, poly):
+    audit = pick_audit(poly)
+    trace = {"area": format_rational(audit.area), "interior": str(audit.interior),
+             "boundary": str(audit.boundary), "holds": audit.holds}
+    return _Query(f"pick(n={len(poly.vertices)})", audit.interior + audit.boundary, trace,
+                  lambda budget: oracle.brute_polygon(poly, budget=budget))
+
+
 # --- the subcommand table --------------------------------------------------
 
 
@@ -215,127 +264,48 @@ class Subcommand:
     """One CLI subcommand.
 
     `parse` names the function of this module that reads each positional
-    in `args`.  `make` turns the namespace and the parsed positionals into
-    the subject tuple; `count`, `shape`, `trace` and `oracle` are called
-    with the subject unpacked (`oracle` also with the keyword `budget`).
-    The callables look library and oracle functions up when they run, not
-    at import, so patching a module global reaches them.  `trace` is shown
-    under --trace, or always when `always_trace` is set.  A row whose count
-    and trace come from the same work sets `count_and_trace` instead of
-    `trace`: it returns (count, trace) from one pass and replaces `count`
-    when the trace is shown.
+    in `args`.  `query` is called with the namespace and the parsed
+    positionals; it returns the shape, the count, the trace (None unless
+    shown) and the oracle, a function of the cell budget.  The queries
+    look library and oracle functions up when they run, not at import, so
+    patching a module global reaches them.  `options` adds the
+    subcommand's own flags to its parser.
     """
 
     name: str
     help: str
     args: tuple
     parse: str
-    count: Callable
-    shape: Callable
-    oracle: Callable
-    make: Callable = lambda args, *values: values
-    trace: Callable | None = None
-    count_and_trace: Callable | None = None
-    always_trace: bool = False
-    options: Callable | None = None
+    query: object
+    options: object = None
 
 
 SUBCOMMANDS = (
-    Subcommand(
-        "thr", "count a*x + b*y <= c over x, y >= 0 (a, b coprime)",
-        ("a", "b", "c"), "parse_int",
-        count=lambda a, b, c: quadrant_count(a, b, c),
-        shape=lambda a, b, c: f"thr({a}, {b}, {c})",
-        trace=_thr_trace,
-        oracle=lambda a, b, c, budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget),
-    ),
-    Subcommand(
-        "rect", "count a stable rectangle",
-        ("x0", "y0", "x1", "y1"), "parse_rational",
-        count=lambda x0, y0, x1, y1: rect_count((x0, y0), (x1, y1)),
-        shape=lambda *xy: "rect({}, {}, {}, {})".format(*xy),
-        oracle=lambda x0, y0, x1, y1, budget: oracle.brute_rect((x0, y0), (x1, y1),
-                                                                budget=budget),
-    ),
-    Subcommand(
-        "rtri", "count a stable right triangle (A right angle, B above/below A, C beside A)",
-        ("ax", "ay", "bx", "by", "cx", "cy"), "parse_rational",
-        make=lambda args, ax, ay, bx, by, cx, cy: (
-            StableRightTriangle(corner=(ax, ay), y_vertex=(bx, by), x_vertex=(cx, cy)),
-            _parse_exclude(args.exclude),
-        ),
-        count=lambda tri, parts: stable_right_count(tri, exclude=parts),
-        shape=lambda tri, parts: "rtri(A=({}, {}), B=({}, {}), C=({}, {}))".format(
-            *tri.corner, *tri.y_vertex, *tri.x_vertex),
-        trace=_rtri_trace,
-        oracle=lambda tri, parts, budget: oracle.brute_triangle(
-            Triangle(*tri.vertices), exclude_segments=tri.boundary_segments(parts),
-            budget=budget),
-        options=lambda sp: sp.add_argument(
-            "--exclude", action="append", metavar="PART",
-            help="boundary parts to exclude: hyp, legx, legy (repeatable, comma-separated)"),
-    ),
-    Subcommand(
-        "tri", "count a general triangle",
-        ("x1", "y1", "x2", "y2", "x3", "y3"), "parse_rational",
-        make=lambda args, x1, y1, x2, y2, x3, y3: (Triangle((x1, y1), (x2, y2), (x3, y3)),),
-        count=lambda tri: triangle_count(tri),
-        shape=lambda tri: "tri({}, {}, {}, {}, {}, {})".format(*tri.v1, *tri.v2, *tri.v3),
-        trace=lambda tri: {"case": triangle_case(tri)},
-        oracle=lambda tri, budget: oracle.brute_triangle(tri, budget=budget),
-    ),
-    Subcommand(
-        "poly", "count a simple polygon read from FILE or - (stdin)",
-        ("file",), "_read_polygon",
-        count=lambda poly: polygon_count(poly),
-        shape=lambda poly: f"poly(n={len(poly.vertices)})",
-        count_and_trace=lambda poly: _sum_and_terms(edge_sum(poly)),
-        oracle=lambda poly, budget: oracle.brute_polygon(poly, budget=budget),
-    ),
-    Subcommand(
-        "tetra", "count a1*x1 + a2*x2 + a3*x3 <= b over xi >= 0",
-        ("a1", "a2", "a3", "b"), "parse_int",
-        count=lambda a1, a2, a3, b: tetra_count(a1, a2, a3, b),
-        shape=lambda a1, a2, a3, b: f"tetra({a1}, {a2}, {a3}; {b})",
-        count_and_trace=_tetra_count_and_trace,
-        oracle=lambda a1, a2, a3, b, budget: oracle.brute_tetra(a1, a2, a3, b, budget=budget),
-    ),
-    Subcommand(
-        "denumerant", "representations of c as x*a + y*b (a, b coprime)",
-        ("a", "b", "c"), "parse_int",
-        count=lambda a, b, c: TwoGenSemigroup(a, b).denumerant(c),
-        shape=lambda a, b, c: f"denumerant({c}; {a}, {b})",
-        oracle=lambda a, b, c, budget: oracle.brute_denumerant2(a, b, c, budget=budget),
-    ),
-    Subcommand(
-        "denumerant3", "representations of n over three generators",
-        ("a1", "a2", "a3", "n"), "parse_int",
-        count=lambda a1, a2, a3, n: denumerant3(a1, a2, a3, n),
-        shape=lambda a1, a2, a3, n: f"denumerant({n}; {a1}, {a2}, {a3})",
-        oracle=lambda a1, a2, a3, n, budget: oracle.brute_denumerant3(
-            a1, a2, a3, n, budget=budget),
-    ),
-    Subcommand(
-        "semigroup", "invariants of the numerical semigroup <a, b>",
-        ("a", "b"), "parse_int",
-        make=lambda args, a, b: (_semigroup_query(args, a, b),),
-        count=lambda query: query.count,
-        shape=lambda query: query.shape,
-        trace=lambda query: query.trace,
-        always_trace=True,
-        oracle=lambda query, budget: query.oracle(budget),
-        options=_semigroup_options,
-    ),
-    Subcommand(
-        "pick", "Pick's-theorem audit of an integral-vertex polygon",
-        ("file",), "_read_polygon",
-        make=lambda args, poly: (poly, pick_audit(poly)),
-        count=lambda poly, audit: audit.interior + audit.boundary,
-        shape=lambda poly, audit: f"pick(n={len(poly.vertices)})",
-        trace=_pick_trace,
-        always_trace=True,
-        oracle=lambda poly, audit, budget: oracle.brute_polygon(poly, budget=budget),
-    ),
+    Subcommand("thr", "count a*x + b*y <= c over x, y >= 0 (a, b coprime)",
+               ("a", "b", "c"), "parse_int", _thr_query),
+    Subcommand("rect", "count a stable rectangle",
+               ("x0", "y0", "x1", "y1"), "parse_rational", _rect_query),
+    Subcommand("rtri",
+               "count a stable right triangle (A right angle, B above/below A, C beside A)",
+               ("ax", "ay", "bx", "by", "cx", "cy"), "parse_rational", _rtri_query,
+               options=lambda sp: sp.add_argument(
+                   "--exclude", action="append", metavar="PART",
+                   help="boundary parts to exclude: hyp, legx, legy "
+                   "(repeatable, comma-separated)")),
+    Subcommand("tri", "count a general triangle",
+               ("x1", "y1", "x2", "y2", "x3", "y3"), "parse_rational", _tri_query),
+    Subcommand("poly", "count a simple polygon read from FILE or - (stdin)",
+               ("file",), "_read_polygon", _poly_query),
+    Subcommand("tetra", "count a1*x1 + a2*x2 + a3*x3 <= b over xi >= 0",
+               ("a1", "a2", "a3", "b"), "parse_int", _tetra_query),
+    Subcommand("denumerant", "representations of c as x*a + y*b (a, b coprime)",
+               ("a", "b", "c"), "parse_int", _denumerant_query),
+    Subcommand("denumerant3", "representations of n over three generators",
+               ("a1", "a2", "a3", "n"), "parse_int", _denumerant3_query),
+    Subcommand("semigroup", "invariants of the numerical semigroup <a, b>",
+               ("a", "b"), "parse_int", _semigroup_query, options=_semigroup_options),
+    Subcommand("pick", "Pick's-theorem audit of an integral-vertex polygon",
+               ("file",), "_read_polygon", _pick_query),
 )
 
 
@@ -416,17 +386,10 @@ def _run(argv, out, err):
     row = args.row
     try:
         parse = globals()[row.parse]
-        subject = row.make(args, *(parse(getattr(args, name)) for name in row.args))
-        shape = row.shape(*subject)
-        shown = args.trace or row.always_trace
-        if shown and row.count_and_trace:
-            report = CountReport(shape, *row.count_and_trace(*subject))
-        else:
-            report = CountReport(shape, row.count(*subject))
-            if shown and row.trace:
-                report.trace = row.trace(*subject)
+        query = row.query(args, *(parse(getattr(args, name)) for name in row.args))
+        report = CountReport(query.shape, query.count, query.trace)
         if args.check:
-            report.oracle = row.oracle(*subject, budget=args.oracle_budget)
+            report.oracle = query.oracle(args.oracle_budget)
             report.agreed = report.count == report.oracle
     except (ValueError, OSError) as exc:
         _write(f"error: {exc}", err, err, "the error message", end="\n")

@@ -325,7 +325,7 @@ def pick_audit(p):
     L, pts = _integer_points(p.vertices)
     for vert, pt in zip(p.vertices, pts):
         if not _on_lattice(L, pt):
-            raise ValueError(f"pick_audit requires integral vertices, got {vert}")
+            raise ValueError(f"pick_audit requires integral vertices, got ({vert[0]}, {vert[1]})")
     area = Fraction(abs(signed_area2(pts)), 2)
     boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
     interior = sum(_edge_terms(L, pts)) - boundary
@@ -344,5 +344,8 @@ def polygon_from_text(text):
         tokens = line.split()
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'x y', got {raw.strip()!r}")
-        points.append((parse_rational(tokens[0]), parse_rational(tokens[1])))
+        try:
+            points.append((parse_rational(tokens[0]), parse_rational(tokens[1])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return Polygon(tuple(points))

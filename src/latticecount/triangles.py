@@ -221,7 +221,7 @@ def rect_count(lo, hi):
     lo, hi = _as_point(lo), _as_point(hi)
     L, ((x0, y0), (x1, y1)) = _integer_points((lo, hi))
     if x0 > x1 or y0 > y1:
-        raise ValueError(f"reversed rectangle bounds {lo} .. {hi}")
+        raise ValueError(f"reversed rectangle bounds ({lo[0]}, {lo[1]}) .. ({hi[0]}, {hi[1]})")
     return _span(x0, x1, L) * _span(y0, y1, L)
 
 

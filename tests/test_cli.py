@@ -303,6 +303,26 @@ def test_pick_rejects_rational_vertices(capsys, tmp_path):
     assert code == 1 and "integral" in err
 
 
+def test_error_messages_write_points_as_rationals(capsys, tmp_path):
+    assert run_cli(capsys, "rect", "1", "1", "0", "0") == (
+        1, "", "error: reversed rectangle bounds (1, 1) .. (0, 0)\n")
+    path = tmp_path / "half.poly"
+    path.write_text("0 0\n4 1/2\n1 3\n")
+    assert run_cli(capsys, "pick", str(path)) == (
+        1, "", "error: pick_audit requires integral vertices, got (4, 1/2)\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["thr", "0", "1", "5"], "coefficients must be positive integers, got (0, 1)"),
+    (["thr", "2", "4", "100000000000000000"], "coefficients must be coprime, got (2, 4)"),
+    (["tetra", "0", "1", "1", "5"], "generators must be >= 1, got (0, 1, 1)"),
+])
+def test_input_error_wins_over_the_trace(capsys, argv, err):
+    # the count is made before the trace is sized or built, so a bad input
+    # is named, not a trace limit or an arithmetic error of the trace
+    assert run_cli(capsys, *argv, "--trace") == (1, "", f"error: {err}\n")
+
+
 def test_oracle_budget_flag(capsys):
     code, _, err = run_cli(capsys, "thr", "1", "2", "2000", "--check",
                            "--oracle-budget", "100")

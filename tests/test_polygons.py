@@ -626,7 +626,9 @@ def test_polygon_from_text_rationals():
 def test_polygon_from_text_errors():
     with pytest.raises(ValueError, match="line 2"):
         polygon_from_text("0 0\n1 2 3\n4 5\n")
-    with pytest.raises(ValueError, match="malformed rational"):
+    with pytest.raises(ValueError, match="line 2: malformed rational 'x'"):
         polygon_from_text("0 0\n1 x\n2 2\n")
+    with pytest.raises(ValueError, match="line 2: zero denominator in '1/0'"):
+        polygon_from_text("0 0\n1/0 1\n2 2\n")
     with pytest.raises(ValueError, match="intersect"):
         polygon_from_text("0 0\n2 2\n2 0\n0 2\n")

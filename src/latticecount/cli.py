@@ -85,7 +85,7 @@ def render_text(report):
     if report.trace:
         for key, value in report.trace.items():
             if isinstance(value, list):
-                value = ", ".join(str(v) for v in value)
+                value = ", ".join(value)
             lines.append(f"  {key}: {value}".rstrip())
     if report.oracle is not None:
         verdict = "agreed" if report.agreed else "DISAGREED"
@@ -136,10 +136,8 @@ _Query = namedtuple("_Query", ["shape", "count", "trace", "oracle"])
 
 def _thr_query(args, a, b, c):
     count, trace = quadrant_count(a, b, c), None
-    if args.trace and c < 0:
-        trace = {"k": 0, "blocks": [], "tail_terms": []}
-    elif args.trace:
-        k, r = divmod(c, a * b)
+    if args.trace:
+        k, r = divmod(max(c, 0), a * b)
         _check_trace_size(k + 2 + r // max(a, b))  # k + 1 blocks, r // max(a, b) + 1 tail terms
         blocks = quadrant_blocks(a, b, c)
         trace = {"k": blocks.k, "blocks": _strs(blocks.block_counts),

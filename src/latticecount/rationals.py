@@ -24,10 +24,10 @@ def parse_rational(text):
     if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"malformed rational {token!r}")
     if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
+        num, den = map(int, token.split("/"))
+        if den == 0:
             raise ValueError(f"zero denominator in {token!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(num, den)
     return Fraction(token)
 
 

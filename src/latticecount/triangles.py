@@ -15,7 +15,8 @@ floors.  That sum is one floor_sum, the Euclid-like reduction of
 sum_{i<n} floor((a*i + b)/m), so a count costs O(log min(a, b))
 arithmetic steps on integers of the input's size.  Everything else
 (rational vertices, legs of rational length, non-coprime coefficients)
-reduces to this count by exact, lattice-preserving steps.
+reduces to this count by exact, lattice-preserving steps; a stable right
+triangle by one corner lift, _corner_lift.
 
 The shapes store their exact Fraction input; every count runs on those
 points scaled once to integers by _integer_points (scale L, X = L*x).
@@ -143,10 +144,10 @@ class BlockTrace:
 
 
 def quadrant_blocks(a, b, c):
-    """Block decomposition of the quadrant count; requires c >= 0."""
+    """Block decomposition of the quadrant count; empty for c < 0."""
     _check_generators(a, b)
     if c < 0:
-        raise ValueError("block decomposition requires c >= 0")
+        return BlockTrace(0, (), ())
     if a > b:
         a, b = b, a
     k = c // (a * b)
@@ -288,6 +289,46 @@ def _boundary_parts(names):
     return parts
 
 
+def _corner_lift(t, exclude):
+    """The paper's reduction of a stable right triangle: (a, b, c) with
+    quadrant_count(a, b, c) its count, or, when a leg has zero length
+    (a == 0 or b == 0), with c its count.
+
+    On the vertices scaled to integer points (scale L, X = L*x), reflect
+    (x -> -x and/or y -> -y preserve the lattice) so the right-angle
+    corner (alpha, beta) is the lower-left one; the triangle is
+    x >= alpha, y >= beta, a*X + b*Y <= a*delta + b*beta, with legs
+    b = delta - alpha and a = gamma - beta.  Lift the corner to the least
+    lattice point (x0, y0) the triangle may hold, with a strict inequality
+    for each left-out leg: x0 = floor(alpha/L) + 1 without leg_y instead
+    of ceil(alpha/L), y0 = floor(beta/L) + 1 without leg_x.  The lift
+    moves no lattice point across the hypotenuse.  Translate (x0, y0) to
+    the origin; without the hypotenuse the bound c becomes c - 1.  With
+    d = gcd(a, b), the lattice values of a*L*x + b*L*y are multiples of
+    d*L, so c may be floored to a multiple of d*L and everything divided
+    by d*L.  The result does not depend on L: scaling the points and L by
+    k multiplies a*L, b*L, c and d*L by k*k, and
+    floor((j*c - 1)/(j*m)) = floor((c - 1)/m) for all integers j, m >= 1.
+
+    A degenerate triangle is the zero-width box from the lifted corner to
+    the far vertex (delta, gamma), and all of it is hypotenuse.
+    """
+    exclude = _boundary_parts(exclude)
+    L, ((alpha, beta), (delta, _), (_, gamma)) = _integer_points(t.vertices)
+    if delta < alpha:
+        alpha, delta = -alpha, -delta
+    if gamma < beta:
+        beta, gamma = -beta, -gamma
+    x0 = alpha // L + 1 if LEG_Y in exclude else -(-alpha // L)
+    y0 = beta // L + 1 if LEG_X in exclude else -(-beta // L)
+    a, b = gamma - beta, delta - alpha
+    if a == 0 or b == 0:
+        return a, b, (HYPOTENUSE not in exclude) * _span(L * x0, delta, L) * _span(L * y0, gamma, L)
+    c = a * (delta - L * x0) + b * (beta - L * y0) - (HYPOTENUSE in exclude)
+    d = gcd(a, b)
+    return a // d, b // d, c // (d * L)
+
+
 def stable_right_reduction(t, exclude=()):
     """Reduce a stable right triangle to a primitive counting problem.
 
@@ -296,67 +337,25 @@ def stable_right_reduction(t, exclude=()):
         ("segment", seg)        the triangle is a segment
         ("quadrant", (a, b, c)) lattice count equals quadrant_count(a, b, c)
 
-    The quadrant reduction runs on the vertices scaled to integer points
-    (scale L, X = L*x): reflect (x -> -x and/or y -> -y preserve the
-    lattice) so the right-angle corner (alpha, beta) is the componentwise
-    minimum and the triangle is x >= alpha, y >= beta,
-    a*X + b*Y <= a*delta + b*beta; lift the corner to the least lattice
-    point of the quadrant, which moves no lattice point across the
-    hypotenuse; translate that point to the origin.  With d = gcd(a, b),
-    the lattice values of a*L*x + b*L*y are multiples of d*L, so the bound
-    c may be floored to a multiple of d*L and everything divided by d*L.
-
-    exclude names boundary parts ("hypotenuse", "leg_x", "leg_y") to
-    leave out, which makes their inequalities strict: without leg_y the
-    corner lifts to x0 = floor(alpha/L) + 1 instead of ceil(alpha/L),
-    without leg_x to y0 = floor(beta/L) + 1, and without the hypotenuse c
-    becomes c - 1.  A point or a segment is returned closed.  The result
-    does not depend on L: scaling the points and L by k multiplies a*L,
-    b*L, c and d*L by k*k, and floor((j*c - 1)/(j*m)) = floor((c - 1)/m)
-    for all integers j, m >= 1.
+    The (a, b, c) is the corner lift's.  exclude names boundary parts
+    ("hypotenuse", "leg_x", "leg_y") to leave out; a point or a segment
+    is returned closed.
     """
-    exclude = _boundary_parts(exclude)
-    L, (corner, x_vertex, y_vertex) = _integer_points(t.vertices)
-    if x_vertex == corner == y_vertex:
+    a, b, c = _corner_lift(t, exclude)
+    if a == b == 0:
         return ("point", t.corner)
-    if x_vertex == corner or y_vertex == corner:
-        return ("segment", t.leg_y if x_vertex == corner else t.leg_x)
-    return ("quadrant", _stable_right_quadrant(L, corner, x_vertex, y_vertex, exclude))
-
-
-def _stable_right_quadrant(L, corner, x_vertex, y_vertex, exclude):
-    """The (a, b, c) of stable_right_reduction for a non-degenerate
-    triangle on scaled points."""
-    (alpha, beta), delta, gamma = corner, x_vertex[0], y_vertex[1]
-    sx = 1 if delta > alpha else -1
-    sy = 1 if gamma > beta else -1
-    alpha, delta = sx * alpha, sx * delta
-    beta, gamma = sy * beta, sy * gamma
-    x0 = alpha // L + 1 if LEG_Y in exclude else -(-alpha // L)
-    y0 = beta // L + 1 if LEG_X in exclude else -(-beta // L)
-    a, b = gamma - beta, delta - alpha
-    c = a * (delta - L * x0) + b * (beta - L * y0) - (HYPOTENUSE in exclude)
-    d = gcd(a, b)
-    return (a // d, b // d, c // (d * L))
+    if a == 0 or b == 0:
+        return ("segment", t.leg_y if b == 0 else t.leg_x)
+    return ("quadrant", (a, b, c))
 
 
 def stable_right_count(t, exclude=()):
     """Integral points in a closed stable right triangle.
 
     exclude may list boundary parts ("hypotenuse", "leg_x", "leg_y") to
-    leave out of the count; each makes its inequality strict inside
-    stable_right_reduction, so the count is one quadrant_count whatever
-    the exclusion.  A degenerate triangle is a point or a segment from
-    the corner: its hypotenuse and its long leg are all of it, and its
-    short leg is the corner.
+    leave out of the count; each makes its inequality strict in the
+    corner lift, so the count is one quadrant_count whatever the
+    exclusion.  A point or a segment follows the same strict inequalities.
     """
-    exclude = _boundary_parts(exclude)
-    L, (corner, x_vertex, y_vertex) = _integer_points(t.vertices)
-    if x_vertex != corner and y_vertex != corner:
-        return quadrant_count(*_stable_right_quadrant(L, corner, x_vertex, y_vertex, exclude))
-    vertical = x_vertex == corner
-    long_leg, short_leg = (LEG_Y, LEG_X) if vertical else (LEG_X, LEG_Y)
-    if HYPOTENUSE in exclude or long_leg in exclude:
-        return 0
-    return (_segment_count(L, corner, y_vertex if vertical else x_vertex)
-            - (short_leg in exclude and _on_lattice(L, corner)))
+    a, b, c = _corner_lift(t, exclude)
+    return c if a == 0 or b == 0 else quadrant_count(a, b, c)

@@ -163,6 +163,17 @@ def test_thr_trace_of_negative_bound_json(capsys):
     assert sum(int(n) for n in obj["trace"]["blocks"]) == int(obj["count"]) == 0
 
 
+def test_thr_trace_of_negative_bound_is_sized_as_empty(capsys):
+    """A negative bound lists no entry, however large a and b are."""
+    code, out, err = run_cli(capsys, "thr", "1000003", "1000033", "-1", "--trace")
+    assert (code, err) == (0, "")
+    assert out == "thr(1000003, 1000033, -1): 0\n  k: 0\n  blocks:\n  tail_terms:\n"
+    code, out, err = run_cli(capsys, "thr", "1000003", "1000033", "-1", "--trace", "--json")
+    assert (code, err) == (0, "")
+    assert out == ('{"shape": "thr(1000003, 1000033, -1)", "count": "0", '
+                   '"trace": {"k": 0, "blocks": [], "tail_terms": []}}\n')
+
+
 @pytest.mark.parametrize("argv", [
     ("tetra", "1", "1", "1", "1000000000000"),
     ("thr", "3", "7", "1000000000000000"),
@@ -420,6 +431,19 @@ GOLDEN = [
      '{"shape": "rtri(A=(1/3, 1/2), B=(1/3, 23/4), C=(19/2, 1/2))", "count": "23", "trace": {"reduction": "quadrant", "a": "63", "b": "110", "c": "480", "excluded": ["hypotenuse", "leg_y"]}}\n'),
     ('rtri 1/3 1/2 1/3 23/4 19/2 1/2 --exclude hyp,legy --trace --check --json',
      '{"shape": "rtri(A=(1/3, 1/2), B=(1/3, 23/4), C=(19/2, 1/2))", "count": "23", "trace": {"reduction": "quadrant", "a": "63", "b": "110", "c": "480", "excluded": ["hypotenuse", "leg_y"]}, "oracle": "23", "agreed": true}\n'),
+    # degenerate right triangles: a point, and segments in both orientations
+    ('rtri 1/2 1/2 1/2 1/2 1/2 1/2 --trace',
+     'rtri(A=(1/2, 1/2), B=(1/2, 1/2), C=(1/2, 1/2)): 0\n  reduction: point\n'),
+    ('rtri 2 3 2 3 2 3 --trace --json',
+     '{"shape": "rtri(A=(2, 3), B=(2, 3), C=(2, 3))", "count": "1", "trace": {"reduction": "point"}}\n'),
+    ('rtri 0 0 0 3 0 0 --trace --exclude legx',
+     'rtri(A=(0, 0), B=(0, 3), C=(0, 0)): 3\n  reduction: segment\n  excluded: leg_x\n'),
+    ('rtri 0 0 0 0 -5/2 0 --trace --json --exclude legy',
+     '{"shape": "rtri(A=(0, 0), B=(0, 0), C=(-5/2, 0))", "count": "2", "trace": {"reduction": "segment", "excluded": ["leg_y"]}}\n'),
+    ('rtri 1 1 1 1 4 1 --exclude legy --check',
+     'rtri(A=(1, 1), B=(1, 1), C=(4, 1)): 3\n  oracle: 3 (agreed)\n'),
+    ('rtri 0 0 0 -7/2 0 0 --trace --exclude hyp --check',
+     'rtri(A=(0, 0), B=(0, -7/2), C=(0, 0)): 0\n  reduction: segment\n  excluded: hypotenuse\n  oracle: 0 (agreed)\n'),
     ('tri 0 0 4 1 1 3',
      'tri(0, 0, 4, 1, 1, 3): 8\n'),
     ('tri 0 0 4 1 1 3 --json',

@@ -23,6 +23,7 @@ from latticecount.triangles import (
     HYPOTENUSE,
     LEG_X,
     LEG_Y,
+    BlockTrace,
     Segment,
     StableRightTriangle,
     floor_sum,
@@ -156,9 +157,8 @@ def test_blocks_small_cases():
     assert trace.total == 15
 
 
-def test_blocks_reject_negative_bound():
-    with pytest.raises(ValueError):
-        quadrant_blocks(3, 7, -1)
+def test_blocks_of_negative_bound_are_empty():
+    assert quadrant_blocks(3, 7, -1) == BlockTrace(0, (), ())
 
 
 def test_blocks_sum_and_semigroup_sections():
@@ -358,8 +358,8 @@ def _degenerate_triangles():
 def test_boundary_exclusions_against_brute_force():
     """Every exclusion subset.  Each left-out part is a strict inequality:
     a lifted corner for a leg, c - 1 for the hypotenuse before the
-    gcd(a, b) > 1 flooring, and the whole segment or its corner for a
-    degenerate triangle."""
+    gcd(a, b) > 1 flooring; a degenerate triangle is a zero-width box
+    from the lifted corner, all of it hypotenuse."""
     rng = random.Random(99)
     triangles = [rand_stable_right(rng) for _ in range(60)]
     triangles += [rand_gcd_shift_instance(rng) for _ in range(40)]
@@ -368,6 +368,16 @@ def test_boundary_exclusions_against_brute_force():
             expected = brute_triangle(Triangle(*t.vertices),
                                       exclude_segments=t.boundary_segments(parts))
             assert stable_right_count(t, exclude=parts) == expected, (t, sorted(parts))
+
+
+def test_degenerate_reduction_is_the_closed_point_or_segment():
+    for t in _degenerate_triangles():
+        if t.x_vertex == t.y_vertex:
+            expected = ("point", t.corner)
+        else:
+            expected = ("segment", t.leg_y if t.x_vertex == t.corner else t.leg_x)
+        for parts in _SUBSETS:
+            assert stable_right_reduction(t, parts) == expected, (t, sorted(parts))
 
 
 def test_exclusion_leaves_the_traced_reduction_closed():

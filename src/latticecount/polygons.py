@@ -20,13 +20,13 @@ from math import gcd
 
 from .rationals import parse_rational
 from .triangles import (
+    Segment,
     _as_point,
     _cross,
     _in_box,
     _integer_points,
-    _on_lattice,
-    _segment_count,
     floor_sum,
+    segment_count,
 )
 
 CASE_DEGENERATE = "degenerate"
@@ -97,7 +97,7 @@ def triangle_count(t):
     L, v = _integer_points(t.vertices)
     turn = _cross(*v)
     if turn == 0:
-        return _segment_count(L, min(v), max(v))
+        return segment_count(Segment(min(t.vertices), max(t.vertices)))
     return sum(_edge_terms(L, v if turn > 0 else v[::-1]))
 
 
@@ -324,7 +324,7 @@ def pick_audit(p):
     """
     L, pts = _integer_points(p.vertices)
     for vert, pt in zip(p.vertices, pts):
-        if not _on_lattice(L, pt):
+        if pt[0] % L or pt[1] % L:
             raise ValueError(f"pick_audit requires integral vertices, got ({vert[0]}, {vert[1]})")
     area = Fraction(abs(signed_area2(pts)), 2)
     boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))

@@ -48,15 +48,10 @@ class TwoGenSemigroup:
             out[(i * other) % s] = i * other
         return out
 
-    def _min_in_class(self, n):
-        # least semigroup element congruent to n modulo a
-        a, b = self.a, self.b
-        i = (n % a) * pow(b, -1, a) % a
-        return i * b
-
     def contains(self, n):
-        """True iff n = x*a + y*b for some x, y >= 0."""
-        return n >= 0 and n >= self._min_in_class(n)
+        """True iff n = x*a + y*b for some x, y >= 0: its denumerant is at
+        least one."""
+        return self.denumerant(n) > 0
 
     __contains__ = contains
 

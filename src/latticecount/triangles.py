@@ -16,7 +16,9 @@ sum_{i<n} floor((a*i + b)/m), so a count costs O(log min(a, b))
 arithmetic steps on integers of the input's size.  Everything else
 (rational vertices, legs of rational length, non-coprime coefficients)
 reduces to this count by exact, lattice-preserving steps; a stable right
-triangle by one corner lift, _corner_lift.
+triangle by one corner lift, _corner_lift.  A segment reduces to it too:
+it is the hypotenuse of a stable right triangle, and its points are the
+closed count less the count without the hypotenuse.
 
 The shapes store their exact Fraction input; every count runs on those
 points scaled once to integers by _integer_points (scale L, X = L*x).
@@ -49,11 +51,6 @@ def _integer_points(points):
     scale = lcm(*(c.denominator for p in points for c in p))
     return scale, [(x.numerator * (scale // x.denominator),
                     y.numerator * (scale // y.denominator)) for x, y in points]
-
-
-def _on_lattice(L, p):
-    """Is the scaled point p (scale L) a lattice point?"""
-    return p[0] % L == 0 and p[1] % L == 0
 
 
 def _span(lo, hi, L):
@@ -176,40 +173,6 @@ class Segment:
     def __post_init__(self):
         object.__setattr__(self, "p", _as_point(self.p))
         object.__setattr__(self, "q", _as_point(self.q))
-
-
-def segment_count(seg):
-    """Number of integral points on a closed segment."""
-    L, (p, q) = _integer_points((seg.p, seg.q))
-    return _segment_count(L, p, q)
-
-
-def _segment_count(L, p, q):
-    """Integral points on the closed segment from p to q, points scaled by L.
-
-    The segment lies on an integer line a*x + b*y = c, with b != 0 once a
-    vertical segment is mirrored in y = x (a = 0 when it is horizontal).
-    There are no integral points unless gcd(a, b) divides c; then they form
-    an arithmetic progression, through the inverse of a mod b."""
-    if p == q:
-        return 1 if _on_lattice(L, p) else 0
-    if p[0] == q[0]:
-        p, q = p[::-1], q[::-1]
-    (px, py), (qx, qy) = p, q
-    # the line a*x + b*y = c through p and q, on the unscaled coordinates
-    a, b = (qy - py) * L, (px - qx) * L
-    c = (qy - py) * px + (px - qx) * py
-    d = gcd(a, b)
-    if c % d:
-        return 0
-    if b < 0:
-        d = -d
-    a, b, c = a // d, b // d, c // d
-    # solutions are x = c/a (mod b) plus t*b, t integer, b > 0; clip
-    # L*x to the segment's scaled x-range
-    lo, hi = sorted((px, qx))
-    step, x0 = L * b, L * (c * pow(a, -1, b) % b)
-    return max(0, (hi - x0) // step + (x0 - lo) // step + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +322,12 @@ def stable_right_count(t, exclude=()):
     """
     a, b, c = _corner_lift(t, exclude)
     return c if a == 0 or b == 0 else quadrant_count(a, b, c)
+
+
+def segment_count(seg):
+    """Integral points on a closed segment p-q: the hypotenuse of the stable
+    right triangle with its right angle at (p.x, q.y).  A point or an
+    axis-parallel segment is that triangle's degenerate case, all of it
+    hypotenuse."""
+    t = StableRightTriangle(corner=(seg.p[0], seg.q[1]), x_vertex=seg.q, y_vertex=seg.p)
+    return stable_right_count(t) - stable_right_count(t, exclude=(HYPOTENUSE,))

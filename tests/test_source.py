@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "latticecount"
@@ -16,3 +17,22 @@ def test_src_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/: {found}"
+
+
+def test_src_imports_only_the_standard_library():
+    """The package has no runtime dependencies: every absolute import in
+    src/ names a module of the standard library."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no sources under {SRC}"
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not found, f"imports outside the standard library in src/: {found}"

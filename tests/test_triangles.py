@@ -3,7 +3,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +226,43 @@ def test_segment_count_integral_endpoints_gcd_rule():
         q = (rng.randint(-15, 15), rng.randint(-15, 15))
         expected = gcd(q[0] - p[0], q[1] - p[1]) + 1 if p != q else 1
         assert segment_count(Segment(p, q)) == expected
+    # near 1e18, with a common factor of the differences up to 1e9
+    for _ in range(200):
+        p = (rng.randint(-10**18, 10**18), rng.randint(-10**18, 10**18))
+        k = rng.randint(1, 10**9)
+        q = (p[0] + k * rng.randint(-10**9, 10**9), p[1] + k * rng.randint(-10**9, 10**9))
+        expected = gcd(q[0] - p[0], q[1] - p[1]) + 1 if p != q else 1
+        assert segment_count(Segment(p, q)) == expected, (p, q)
+
+
+def test_segment_count_on_a_primitive_direction_far_from_the_origin():
+    """An independent reference that does not use the corner lift.  On the
+    segment z + lam*(u, v), lam in [s, t], with z an integer point and
+    (u, v) primitive, the lattice points are those with lam an integer:
+    max(0, floor(t) - ceil(s) + 1) of them."""
+    rng = random.Random(15)
+    axes = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    nonzero = 0
+    for _ in range(20_000):
+        z = (rng.randint(-10**18, 10**18), rng.randint(-10**18, 10**18))
+        if rng.random() < 0.2:
+            u, v = rng.choice(axes)
+        else:
+            u, v = rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(-10**6, 10**6)
+            d = gcd(u, v)
+            u, v = u // d, v // d
+        den_s = rng.randint(1, rng.choice((1, 16, 10**6)))
+        den_t = rng.randint(1, rng.choice((1, 16, 10**6)))
+        s = F(rng.randint(-3 * den_s, 3 * den_s), den_s)
+        # a fraction of a step, or that plus up to 1e6 whole steps
+        t = s + F(rng.randint(0, den_t), den_t) + rng.choice((0, rng.randint(1, 10**6)))
+        p, q = (z[0] + s * u, z[1] + s * v), (z[0] + t * u, z[1] + t * v)
+        if rng.random() < 0.5:
+            p, q = q, p
+        expected = max(0, floor(t) - ceil(s) + 1)
+        assert segment_count(Segment(p, q)) == expected, (z, (u, v), s, t)
+        nonzero += expected > 0
+    assert min(nonzero, 20_000 - nonzero) > 1_000, nonzero
 
 
 def test_segment_count_against_brute_force():

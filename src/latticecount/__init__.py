@@ -6,18 +6,15 @@ rational input points scaled once to integers.  Every counter has an
 independent brute-force twin in latticecount.oracle.
 """
 
+from .kernel import BlockTrace, floor_sum, quadrant_blocks, quadrant_count
 from .rationals import format_rational, parse_rational
 from .semigroup import TwoGenSemigroup, denumerant2
 from .triangles import (
     HYPOTENUSE,
     LEG_X,
     LEG_Y,
-    BlockTrace,
     Segment,
     StableRightTriangle,
-    floor_sum,
-    quadrant_blocks,
-    quadrant_count,
     rect_count,
     segment_count,
     stable_right_count,

@@ -22,6 +22,7 @@ from contextlib import redirect_stderr, redirect_stdout, suppress
 from dataclasses import dataclass
 
 from . import oracle
+from .kernel import quadrant_blocks, quadrant_count
 from .polygons import (
     Triangle,
     edge_sum,
@@ -39,8 +40,6 @@ from .triangles import (
     LEG_X,
     LEG_Y,
     StableRightTriangle,
-    quadrant_blocks,
-    quadrant_count,
     rect_count,
     stable_right_count,
     stable_right_reduction,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .kernel import floor_sum
 from .rationals import parse_rational
 from .triangles import (
     Segment,
@@ -25,7 +26,6 @@ from .triangles import (
     _cross,
     _in_box,
     _integer_points,
-    floor_sum,
     segment_count,
 )
 

@@ -9,13 +9,13 @@ used here:
     Ap(S, a)  = {0, b, 2b, ..., (a-1)b}
 
 plus Popoviciu's formula for the denumerant (the number of representations
-of c as x*a + y*b with x, y >= 0).
+of c as x*a + y*b with x, y >= 0), which lives in the kernel.
 """
 
 from dataclasses import dataclass, field
 from math import gcd
 
-from .triangles import floor_sum
+from .kernel import denumerant, floor_sum
 
 
 @dataclass(frozen=True)
@@ -77,27 +77,8 @@ class TwoGenSemigroup:
         return n + floor_sum(n, a, -b, c)
 
     def denumerant(self, c):
-        """Number of pairs (x, y) with x, y >= 0 and x*a + y*b = c.
-
-        Popoviciu's closed form (Beck and Robins, Computing the Continuous
-        Discretely, ch. 1): with a' = a^-1 mod b and b' = b^-1 mod a,
-        a*b times the count is c + a*b - b*(b'*c mod a) - a*(a'*c mod b).
-        The division by a*b is exact: b*(b'*c mod a) = c (mod a) makes the
-        numerator a multiple of a, a*(a'*c mod b) = c (mod b) makes it a
-        multiple of b, and a, b are coprime.  A generator equal to 1 needs
-        no special case: modulo 1 every residue is 0.
-        """
-        if c < 0:
-            return 0
-        a, b = self.a, self.b
-        residues = sum(other * (inv * c % mod) for mod, other, inv in _popoviciu_residues(a, b))
-        return (c + a * b - residues) // (a * b)
-
-
-def _popoviciu_residues(p, q):
-    """(modulus, other generator, inverse of the other modulo the modulus)
-    for the two residue terms of Popoviciu's formula."""
-    return (p, q, pow(q, -1, p)), (q, p, pow(p, -1, q))
+        """Number of pairs (x, y) with x, y >= 0 and x*a + y*b = c."""
+        return denumerant(self.a, self.b, c)
 
 
 def denumerant2(a, b, c):

@@ -32,9 +32,8 @@ at least isqrt(n) wide, and each later row is two element-wise
 additions: at most min(T + isqrt(n), p*q) kernel calls, and O(n)
 additions made by map rather than by a Python step each.
 
-Closed form (tetra_count, denumerant3).  Popoviciu's formula (Beck and
-Robins, Computing the Continuous Discretely, ch. 1) writes the
-denumerant with p' = p^-1 mod q and q' = q^-1 mod p as
+Closed form (tetra_count, denumerant3).  Popoviciu's formula
+(kernel.denumerant), with p' = p^-1 mod q and q' = q^-1 mod p, reads
 
     p*q*D(m) = m + p*q - q*(q'*m mod p) - p*(p'*m mod q).
 
@@ -56,8 +55,7 @@ from itertools import repeat
 from math import gcd, isqrt
 from operator import add, mod
 
-from .semigroup import _popoviciu_residues
-from .triangles import floor_sum, full_strips, quadrant_count
+from .kernel import _floor_sums2, _popoviciu_residues, floor_sum, full_strips, quadrant_count
 
 # the most kernel steps a tetra_count may take: min(slices, residue classes)
 STEP_LIMIT = 10**6
@@ -71,43 +69,6 @@ def _reduce(a1, a2, a3):
     p, q, s = sorted((a1, a2, a3))
     d = gcd(p, q)
     return p // d, q // d, s, d
-
-
-def _floor_sums2(n, m, a, b):
-    """(sum u_i, sum i*u_i, sum u_i**2) over 0 <= i < n, where
-    u_i = floor((a*i + b) / m), for n >= 0 and m >= 1.
-
-    The second-order companion of triangles.floor_sum, by the same
-    Euclid-like reduction (Beck and Robins, ch. 8).  Each step splits off
-    the integer parts a//m and b//m, then swaps the axes: with k the
-    largest remaining u_i and t_j = floor((m*j + m - b - 1)/a), u_i > j
-    holds exactly when i > t_j, so the three sums over i follow from the
-    same three sums over t_j, 0 <= j < k, with (m, a) replaced by
-    (a, m mod a).  The steps are recorded going down and combined coming
-    back, in a list rather than on the call stack, so a long Euclid chain
-    cannot exhaust the recursion limit.
-    """
-    if n == 0:
-        return 0, 0, 0
-    steps = []
-    while True:
-        qa, a = divmod(a, m)
-        qb, b = divmod(b, m)
-        k = (a * (n - 1) + b) // m
-        steps.append((n, qa, qb, k))
-        if k == 0:
-            break
-        n, m, a, b = k, a, m, m - b - 1
-    f = g = h = 0  # the sums over t_j of the step below
-    for n, qa, qb, k in reversed(steps):
-        # each t_j*(t_j + 1) is even, so h + f is
-        f, g, h = (k * (n - 1) - f, k * n * (n - 1) // 2 - (h + f) // 2,
-                   (n - 1) * k * k - 2 * g - f)
-        s1 = n * (n - 1) // 2
-        s2 = s1 * (2 * n - 1) // 3
-        f, g, h = (f + qa * s1 + qb * n, g + qa * s2 + qb * s1,
-                   h + qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n + 2 * qa * g + 2 * qb * f)
-    return f, g, h
 
 
 def tetra_slice_counts(a1, a2, a3, b):

@@ -2,31 +2,19 @@
 
 "Stable" means axis-aligned: a stable rectangle has its sides parallel to
 the coordinate axes, a stable right triangle has its two legs parallel to
-the axes.  The workhorse is the quadrant count
-
-    #{(x, y) in Z^2, x >= 0, y >= 0 : a*x + b*y <= c}
-
-for coprime positive integers a, b, evaluated by splitting the triangle
-into vertical strips of width max(a, b) and counting each strip through
-the semigroup <a, b>: full strips have the closed-form size
-(a + b + 1 - (1 + 2i)*a*b)/2 + c, summed over all k full strips at once
-by full_strips, and the last partial strip is the Apery-set sum of
-floors.  That sum is one floor_sum, the Euclid-like reduction of
-sum_{i<n} floor((a*i + b)/m), so a count costs O(log min(a, b))
-arithmetic steps on integers of the input's size.  Everything else
-(rational vertices, legs of rational length, non-coprime coefficients)
-reduces to this count by exact, lattice-preserving steps; a stable right
-triangle by one corner lift, _corner_lift.  A segment reduces to it too:
-it is the hypotenuse of a stable right triangle, and its points are the
-closed count less the count without the hypotenuse.
-
-The shapes store their exact Fraction input; every count runs on those
-points scaled once to integers by _integer_points (scale L, X = L*x).
+the axes.  Exact, lattice-preserving steps reduce each shape to the
+integer kernel: a stable right triangle by one corner lift, _corner_lift,
+to one quadrant count, and a segment, the hypotenuse of such a triangle,
+to the denumerant of the lifted bound.  The shapes store their exact
+Fraction input; every count runs on those points scaled once to integers
+by _integer_points (scale L, X = L*x).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+
+from .kernel import denumerant, quadrant_count
 
 
 def _as_point(p):
@@ -56,105 +44,6 @@ def _integer_points(points):
 def _span(lo, hi, L):
     """#{n in Z : lo <= L*n <= hi} = max(0, floor(hi/L) - ceil(lo/L) + 1)."""
     return max(0, hi // L + (-lo) // L + 1)
-
-
-# ---------------------------------------------------------------------------
-# Quadrant triangles  a*x + b*y <= c,  x, y >= 0
-# ---------------------------------------------------------------------------
-
-
-def _check_generators(a, b):
-    if a < 1 or b < 1:
-        raise ValueError(f"coefficients must be positive integers, got ({a}, {b})")
-    if gcd(a, b) != 1:
-        raise ValueError(f"coefficients must be coprime, got ({a}, {b})")
-
-
-def floor_sum(n, m, a, b):
-    """sum_{0 <= i < n} floor((a*i + b) / m) for n >= 0 and m >= 1.
-
-    The Euclid-like reduction behind reciprocity for Dedekind sums (Beck
-    and Robins, Computing the Continuous Discretely, ch. 8): split off the
-    integer parts a//m and b//m in closed form, then count the remaining
-    lattice points under the line with the axes swapped, which replaces
-    (m, a) by (a, m mod a).  The loop runs O(log m) times; a and b may be
-    any integers.
-    """
-    if n < 0 or m < 1:
-        raise ValueError(f"floor_sum needs n >= 0 and m >= 1, got n={n}, m={m}")
-    total = 0
-    while True:
-        if not 0 <= a < m:
-            total += n * (n - 1) // 2 * (a // m)
-            a %= m
-        if not 0 <= b < m:
-            total += n * (b // m)
-            b %= m
-        y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
-        m, a = a, m
-
-
-def full_strips(a, b, k, c):
-    """Lattice points of a*x + b*y <= c, x, y >= 0, in the first k vertical
-    strips of width max(a, b): the sum over i < k of the closed-form strip
-    size (a + b + 1 - (1 + 2i)*a*b)/2 + c, for coprime a, b."""
-    return k * (a + b + 1 + 2 * c - a * b * k) // 2
-
-
-def quadrant_count(a, b, c):
-    """Count (x, y) in Z^2 with x, y >= 0 and a*x + b*y <= c.
-
-    Requires a, b >= 1 coprime; c may be any integer (c < 0 gives 0).
-    With b the larger coefficient and c = k*a*b + r, 0 <= r < a*b, the
-    count is the k full strips in closed form plus the partial strip,
-    sum_{i <= r//b} ((r - i*b)//a + 1), which is one floor_sum.
-    """
-    _check_generators(a, b)
-    if c < 0:
-        return 0
-    if a > b:
-        a, b = b, a
-    k, r = divmod(c, a * b)
-    n = r // b + 1
-    return full_strips(a, b, k, c) + n + floor_sum(n, a, b, r % b)
-
-
-@dataclass(frozen=True)
-class BlockTrace:
-    """Vertical-strip decomposition of a quadrant triangle.
-
-    block_counts[i] is the number of lattice points with
-    i*b <= x < (i+1)*b (b the larger coefficient); the last block is the
-    partial strip and tail_terms holds its per-column summands.
-    """
-
-    k: int
-    block_counts: tuple
-    tail_terms: tuple
-
-    @property
-    def total(self):
-        return sum(self.block_counts)
-
-
-def quadrant_blocks(a, b, c):
-    """Block decomposition of the quadrant count; empty for c < 0."""
-    _check_generators(a, b)
-    if c < 0:
-        return BlockTrace(0, (), ())
-    if a > b:
-        a, b = b, a
-    k = c // (a * b)
-    # full_strips(a, b, i + 1, c) - full_strips(a, b, i, c) falls by a*b per block
-    first = full_strips(a, b, 1, c)
-    blocks = list(range(first, first - a * b * k, -a * b))
-    r = c - k * a * b
-    tail = tuple((r - i * b) // a + 1 for i in range(r // b + 1))
-    blocks.append(sum(tail))
-    return BlockTrace(k, tuple(blocks), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +142,9 @@ def _boundary_parts(names):
 
 
 def _corner_lift(t, exclude):
-    """The paper's reduction of a stable right triangle: (a, b, c) with
-    quadrant_count(a, b, c) its count, or, when a leg has zero length
-    (a == 0 or b == 0), with c its count.
+    """The paper's reduction of a stable right triangle: (a, b, c, m) with
+    quadrant_count(a, b, c // m) its count, or, when a leg has zero length
+    (a == 0 or b == 0), with c its count and m = 1.
 
     On the vertices scaled to integer points (scale L, X = L*x), reflect
     (x -> -x and/or y -> -y preserve the lattice) so the right-angle
@@ -268,10 +157,10 @@ def _corner_lift(t, exclude):
     moves no lattice point across the hypotenuse.  Translate (x0, y0) to
     the origin; without the hypotenuse the bound c becomes c - 1.  With
     d = gcd(a, b), the lattice values of a*L*x + b*L*y are multiples of
-    d*L, so c may be floored to a multiple of d*L and everything divided
-    by d*L.  The result does not depend on L: scaling the points and L by
-    k multiplies a*L, b*L, c and d*L by k*k, and
-    floor((j*c - 1)/(j*m)) = floor((c - 1)/m) for all integers j, m >= 1.
+    m = d*L: a and b are divided by d, the caller floors c // m, and the
+    hypotenuse holds lattice points only when m divides c.  c // m does not
+    depend on L: scaling the points and L by k multiplies a*L, b*L, c and m
+    by k*k, and floor((j*c - 1)/(j*m)) = floor((c - 1)/m) for j, m >= 1.
 
     A degenerate triangle is the zero-width box from the lifted corner to
     the far vertex (delta, gamma), and all of it is hypotenuse.
@@ -286,10 +175,10 @@ def _corner_lift(t, exclude):
     y0 = beta // L + 1 if LEG_X in exclude else -(-beta // L)
     a, b = gamma - beta, delta - alpha
     if a == 0 or b == 0:
-        return a, b, (HYPOTENUSE not in exclude) * _span(L * x0, delta, L) * _span(L * y0, gamma, L)
+        return a, b, (HYPOTENUSE not in exclude) * _span(L * x0, delta, L) * _span(L * y0, gamma, L), 1
     c = a * (delta - L * x0) + b * (beta - L * y0) - (HYPOTENUSE in exclude)
     d = gcd(a, b)
-    return a // d, b // d, c // (d * L)
+    return a // d, b // d, c, d * L
 
 
 def stable_right_reduction(t, exclude=()):
@@ -300,16 +189,16 @@ def stable_right_reduction(t, exclude=()):
         ("segment", seg)        the triangle is a segment
         ("quadrant", (a, b, c)) lattice count equals quadrant_count(a, b, c)
 
-    The (a, b, c) is the corner lift's.  exclude names boundary parts
+    The (a, b, c) is the corner lift's, c floored.  exclude names boundary parts
     ("hypotenuse", "leg_x", "leg_y") to leave out; a point or a segment
     is returned closed.
     """
-    a, b, c = _corner_lift(t, exclude)
+    a, b, c, m = _corner_lift(t, exclude)
     if a == b == 0:
         return ("point", t.corner)
     if a == 0 or b == 0:
         return ("segment", t.leg_y if b == 0 else t.leg_x)
-    return ("quadrant", (a, b, c))
+    return ("quadrant", (a, b, c // m))
 
 
 def stable_right_count(t, exclude=()):
@@ -320,14 +209,17 @@ def stable_right_count(t, exclude=()):
     corner lift, so the count is one quadrant_count whatever the
     exclusion.  A point or a segment follows the same strict inequalities.
     """
-    a, b, c = _corner_lift(t, exclude)
-    return c if a == 0 or b == 0 else quadrant_count(a, b, c)
+    a, b, c, m = _corner_lift(t, exclude)
+    return c if a == 0 or b == 0 else quadrant_count(a, b, c // m)
 
 
 def segment_count(seg):
     """Integral points on a closed segment p-q: the hypotenuse of the stable
-    right triangle with its right angle at (p.x, q.y).  A point or an
-    axis-parallel segment is that triangle's degenerate case, all of it
-    hypotenuse."""
+    right triangle with its right angle at (p.x, q.y), so the denumerant of
+    the closed corner lift's bound.  A point or an axis-parallel segment is
+    that triangle's degenerate case, all of it hypotenuse."""
     t = StableRightTriangle(corner=(seg.p[0], seg.q[1]), x_vertex=seg.q, y_vertex=seg.p)
-    return stable_right_count(t) - stable_right_count(t, exclude=(HYPOTENUSE,))
+    a, b, c, m = _corner_lift(t, ())
+    if a == 0 or b == 0:
+        return c
+    return 0 if c % m else denumerant(a, b, c // m)

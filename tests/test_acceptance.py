@@ -22,6 +22,7 @@ from corpus import (
     random_simple_polygon,
 )
 from latticecount import cli, oracle
+from latticecount.kernel import quadrant_blocks
 from latticecount.polygons import (
     CASE_DEGENERATE,
     TRIANGLE_CASES,
@@ -34,7 +35,6 @@ from latticecount.semigroup import TwoGenSemigroup
 from latticecount.tetra import denumerant3, tetra_count
 from latticecount.triangles import (
     StableRightTriangle,
-    quadrant_blocks,
     quadrant_count,
     stable_right_count,
 )

@@ -456,6 +456,15 @@ GOLDEN = [
      '{"shape": "tri(0, 0, 4, 1, 1, 3)", "count": "8", "trace": {"case": "one_corner"}}\n'),
     ('tri 0 0 4 1 1 3 --trace --check --json',
      '{"shape": "tri(0, 0, 4, 1, 1, 3)", "count": "8", "trace": {"case": "one_corner"}, "oracle": "8", "agreed": true}\n'),
+    # collinear triangles: the count of the segment hull
+    ('tri 0 0 3 2 6 4 --trace --check',
+     'tri(0, 0, 3, 2, 6, 4): 3\n  case: degenerate\n  oracle: 3 (agreed)\n'),
+    ('tri 6 4 -3 -2 0 0 --json',
+     '{"shape": "tri(6, 4, -3, -2, 0, 0)", "count": "4"}\n'),
+    ('tri 1/2 0 5/2 2 3/2 1 --trace --check',
+     'tri(1/2, 0, 5/2, 2, 3/2, 1): 0\n  case: degenerate\n  oracle: 0 (agreed)\n'),
+    ('tri -9/2 -3 3/2 1 15/2 5 --check',
+     'tri(-9/2, -3, 3/2, 1, 15/2, 5): 4\n  oracle: 4 (agreed)\n'),
     ('poly {poly}',
      'poly(n=6): 10\n'),
     ('poly {poly} --json',

@@ -36,3 +36,31 @@ def test_src_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert not found, f"imports outside the standard library in src/: {found}"
+
+
+KERNEL_FUNCTIONS = ("floor_sum", "_floor_sums2", "full_strips", "quadrant_count",
+                    "quadrant_blocks", "BlockTrace", "_check_generators",
+                    "_popoviciu_residues", "denumerant")
+
+
+def test_kernel_imports_nothing_from_the_package():
+    """kernel.py is the bottom layer: no relative import and no latticecount
+    import, and each kernel function is defined at module level in
+    kernel.py alone (TwoGenSemigroup.denumerant is a method)."""
+    tree = ast.parse((SRC / "kernel.py").read_text(), filename="kernel.py")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "latticecount":
+                found.append(f"kernel.py:{node.lineno}")
+        elif isinstance(node, ast.Import):
+            found += [f"kernel.py:{node.lineno}" for alias in node.names
+                      if alias.name.split(".")[0] == "latticecount"]
+    assert not found, f"package imports in kernel.py: {found}"
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name in KERNEL_FUNCTIONS):
+                defined.setdefault(node.name, []).append(path.name)
+    assert defined == {name: ["kernel.py"] for name in KERNEL_FUNCTIONS}, defined

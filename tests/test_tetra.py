@@ -10,7 +10,7 @@ from math import comb, gcd, isqrt
 
 import pytest
 
-from latticecount import cli, tetra
+from latticecount import cli, kernel, tetra
 from latticecount.oracle import brute_denumerant3, brute_equation3_table, brute_tetra
 from latticecount.semigroup import denumerant2
 from latticecount.tetra import (
@@ -252,7 +252,7 @@ def test_floor_sums2_against_direct_sums():
         a, b = rng.randint(-50, 50), rng.randint(-50, 50)
         u = [(a * i + b) // m for i in range(n)]
         expected = (sum(u), sum(i * x for i, x in enumerate(u)), sum(x * x for x in u))
-        assert tetra._floor_sums2(n, m, a, b) == expected, (n, m, a, b)
+        assert kernel._floor_sums2(n, m, a, b) == expected, (n, m, a, b)
 
 
 def test_floor_sums2_long_euclid_chain():
@@ -263,7 +263,7 @@ def test_floor_sums2_long_euclid_chain():
         a, b = b, a + b
     n = 5
     u = [(a * i + 3) // b for i in range(n)]
-    assert tetra._floor_sums2(n, b, a, 3) == (
+    assert kernel._floor_sums2(n, b, a, 3) == (
         sum(u), sum(i * x for i, x in enumerate(u)), sum(x * x for x in u))
     bound = 10**302  # a few hundred slices
     assert tetra_count(a, a, b, bound) == sum(tetra_slice_counts(a, a, b, bound))

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import rand_gcd_shift_instance, rand_point, rand_stable_right
+from latticecount import triangles
+from latticecount.kernel import BlockTrace, floor_sum, full_strips, quadrant_blocks
 from latticecount.oracle import (
     brute_halfplane_quadrant,
     brute_rect,
@@ -23,12 +25,8 @@ from latticecount.triangles import (
     HYPOTENUSE,
     LEG_X,
     LEG_Y,
-    BlockTrace,
     Segment,
     StableRightTriangle,
-    floor_sum,
-    full_strips,
-    quadrant_blocks,
     quadrant_count,
     rect_count,
     segment_count,
@@ -263,6 +261,21 @@ def test_segment_count_on_a_primitive_direction_far_from_the_origin():
         assert segment_count(Segment(p, q)) == expected, (z, (u, v), s, t)
         nonzero += expected > 0
     assert min(nonzero, 20_000 - nonzero) > 1_000, nonzero
+
+
+@pytest.mark.parametrize("p, q", [((0, 0), (6, 4)), ((F(1, 2), -3), (F(1, 2), 5)), ((2, 3), (2, 3))],
+                         ids=["slanted", "vertical", "point"])
+def test_segment_count_makes_one_lift_and_no_quadrant_count(monkeypatch, p, q):
+    """A segment is one closed corner lift and one denumerant: no second
+    lift for the open triangle, and no quadrant count."""
+    calls = []
+    lift, quadrant = triangles._corner_lift, triangles.quadrant_count
+    monkeypatch.setattr(triangles, "_corner_lift",
+                        lambda *args: calls.append("lift") or lift(*args))
+    monkeypatch.setattr(triangles, "quadrant_count",
+                        lambda *args: calls.append("quadrant") or quadrant(*args))
+    assert segment_count(Segment(p, q)) == brute_segment(Segment(p, q))
+    assert calls == ["lift"]
 
 
 def test_segment_count_against_brute_force():

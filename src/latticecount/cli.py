@@ -163,8 +163,7 @@ def _rtri_query(args, ax, ay, bx, by, cx, cy):
             trace["excluded"] = sorted(parts)
     return _Query(f"rtri(A=({ax}, {ay}), B=({bx}, {by}), C=({cx}, {cy}))", count, trace,
                   lambda budget: oracle.brute_triangle(
-                      Triangle(*tri.vertices), exclude_segments=tri.boundary_segments(parts),
-                      budget=budget))
+                      tri, exclude_segments=tri.boundary_segments(parts), budget=budget))
 
 
 def _tri_query(args, x1, y1, x2, y2, x3, y3):

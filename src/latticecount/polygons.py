@@ -7,10 +7,13 @@ with three edges, and a degenerate one is its segment hull.
 triangle_case names the bounding-box case of a triangle, for reports
 and tests; the count does not depend on it.
 
-A polygon is validated on its scaled vertices as one O(n log n) sweep
-(Shamos-Hoey) over the edges, with the O(n^2) pairwise scan run only to
-name the first offending pair of an invalid polygon.  A Pick's-theorem
-audit is provided for integral-vertex polygons.
+A polygon is validated on its scaled vertices by a Shamos-Hoey sweep of
+O(n log n) orientation and touch tests, but each insert, del and index on
+its list status is O(n): combs of 10k to 80k vertices validate in 0.30 to
+11.2 s (Python 3.11.7, shared 2-vCPU host).  An invalid polygon's first
+offending pair is named by the O(n^2) pairwise scan, whose work has no
+bound: an 8,005-vertex invalid comb takes 43.1 s.  A Pick's-theorem audit
+is provided for integral-vertex polygons.
 """
 
 from collections import namedtuple
@@ -20,14 +23,18 @@ from math import gcd
 
 from .kernel import floor_sum
 from .rationals import parse_rational
-from .triangles import (
-    Segment,
-    _as_point,
-    _cross,
-    _in_box,
-    _integer_points,
-    segment_count,
-)
+from .triangles import Segment, _as_point, _integer_points, segment_count
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _in_box(p, a, b):
+    """Is p in the closed axis-parallel box spanned by a and b?"""
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
 
 CASE_DEGENERATE = "degenerate"
 CASE_STABLE = "stable_right"
@@ -236,9 +243,10 @@ def _validate_simple(verts):
     Runs on the integer points of the vertices.  Adjacent edges u-v, v-w
     overlap exactly when they are collinear and w folds back towards u;
     any other pair of edges must not touch at all, which a sweep decides
-    in O(n log n); a triangle has no such pair.  Only when an overlap or
-    a touch is found does the pairwise scan run, to name the first
-    offending pair.
+    with O(n log n) orientation and touch tests, though each operation on
+    its list status is O(n); a triangle has no such pair.  Only when an
+    overlap or a touch is found does the O(n^2) pairwise scan run, with no
+    bound on its work, to name the first offending pair.
     """
     n = len(verts)
     if n < 3:

@@ -1,8 +1,9 @@
 """The text format of exact integers and rationals.
 
 Shapes keep their input as fractions.Fraction (lowest terms, positive
-denominator); every count runs on Python's unbounded ints, on those points
-scaled once by the lcm of their denominators.  No floating point is used.
+denominator); each count scales its shape's points by the lcm of their
+denominators and runs on Python's unbounded ints (a poly request scales
+its vertices twice: to validate, then to count).  No floating point is used.
 
 Division is floor-style throughout: the remainder of n mod d lies in
 [0, d) for d > 0, which is what Python's // and % already do.

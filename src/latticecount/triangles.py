@@ -3,11 +3,12 @@
 "Stable" means axis-aligned: a stable rectangle has its sides parallel to
 the coordinate axes, a stable right triangle has its two legs parallel to
 the axes.  Exact, lattice-preserving steps reduce each shape to the
-integer kernel: a stable right triangle by one corner lift, _corner_lift,
-to one quadrant count, and a segment, the hypotenuse of such a triangle,
-to the denumerant of the lifted bound.  The shapes store their exact
-Fraction input; every count runs on those points scaled once to integers
-by _integer_points (scale L, X = L*x).
+integer kernel: a stable right triangle by one corner lift of its three
+vertices, _corner_lift, to one quadrant count, and a segment, the
+hypotenuse of such a triangle, to the denumerant of the lifted bound.  The
+shapes store their exact Fraction input; each count scales its points to
+integers by _integer_points (scale L, X = L*x).  The orientation
+predicates are in polygons, their only user.
 """
 
 from dataclasses import dataclass
@@ -20,16 +21,6 @@ from .kernel import denumerant, quadrant_count
 def _as_point(p):
     x, y = p
     return (Fraction(x), Fraction(y))
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _in_box(p, a, b):
-    """Is p in the closed axis-parallel box spanned by a and b?"""
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
 def _integer_points(points):
@@ -141,10 +132,11 @@ def _boundary_parts(names):
     return parts
 
 
-def _corner_lift(t, exclude):
-    """The paper's reduction of a stable right triangle: (a, b, c, m) with
-    quadrant_count(a, b, c // m) its count, or, when a leg has zero length
-    (a == 0 or b == 0), with c its count and m = 1.
+def _corner_lift(corner, x_vertex, y_vertex, exclude):
+    """The paper's reduction of the stable right triangle with Fraction
+    vertices corner, x_vertex at the corner's y and y_vertex at its x:
+    (a, b, c, m) with quadrant_count(a, b, c // m) its count, or, when a
+    leg has zero length (a == 0 or b == 0), with c its count and m = 1.
 
     On the vertices scaled to integer points (scale L, X = L*x), reflect
     (x -> -x and/or y -> -y preserve the lattice) so the right-angle
@@ -166,7 +158,7 @@ def _corner_lift(t, exclude):
     the far vertex (delta, gamma), and all of it is hypotenuse.
     """
     exclude = _boundary_parts(exclude)
-    L, ((alpha, beta), (delta, _), (_, gamma)) = _integer_points(t.vertices)
+    L, ((alpha, beta), (delta, _), (_, gamma)) = _integer_points((corner, x_vertex, y_vertex))
     if delta < alpha:
         alpha, delta = -alpha, -delta
     if gamma < beta:
@@ -193,7 +185,7 @@ def stable_right_reduction(t, exclude=()):
     ("hypotenuse", "leg_x", "leg_y") to leave out; a point or a segment
     is returned closed.
     """
-    a, b, c, m = _corner_lift(t, exclude)
+    a, b, c, m = _corner_lift(*t.vertices, exclude)
     if a == b == 0:
         return ("point", t.corner)
     if a == 0 or b == 0:
@@ -209,7 +201,7 @@ def stable_right_count(t, exclude=()):
     corner lift, so the count is one quadrant_count whatever the
     exclusion.  A point or a segment follows the same strict inequalities.
     """
-    a, b, c, m = _corner_lift(t, exclude)
+    a, b, c, m = _corner_lift(*t.vertices, exclude)
     return c if a == 0 or b == 0 else quadrant_count(a, b, c // m)
 
 
@@ -218,8 +210,7 @@ def segment_count(seg):
     right triangle with its right angle at (p.x, q.y), so the denumerant of
     the closed corner lift's bound.  A point or an axis-parallel segment is
     that triangle's degenerate case, all of it hypotenuse."""
-    t = StableRightTriangle(corner=(seg.p[0], seg.q[1]), x_vertex=seg.q, y_vertex=seg.p)
-    a, b, c, m = _corner_lift(t, ())
+    a, b, c, m = _corner_lift((seg.p[0], seg.q[1]), seg.q, seg.p, ())
     if a == 0 or b == 0:
         return c
     return 0 if c % m else denumerant(a, b, c // m)

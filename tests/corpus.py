@@ -16,9 +16,10 @@ from latticecount.polygons import (
     CASE_TWO_OPPOSITE,
     Polygon,
     Triangle,
+    _cross,
     triangle_case,
 )
-from latticecount.triangles import StableRightTriangle, _cross
+from latticecount.triangles import StableRightTriangle
 
 SPAN = 10
 MAX_DEN = 8

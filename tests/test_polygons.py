@@ -27,6 +27,8 @@ from latticecount.polygons import (
     TRIANGLE_CASES,
     Polygon,
     Triangle,
+    _cross,
+    _in_box,
     pick_audit,
     polygon_count,
     polygon_from_text,
@@ -39,8 +41,6 @@ from latticecount.triangles import (
     Segment,
     StableRightTriangle,
     _as_point,
-    _cross,
-    _in_box,
     _integer_points,
     rect_count,
     segment_count,

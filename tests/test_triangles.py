@@ -267,13 +267,17 @@ def test_segment_count_on_a_primitive_direction_far_from_the_origin():
                          ids=["slanted", "vertical", "point"])
 def test_segment_count_makes_one_lift_and_no_quadrant_count(monkeypatch, p, q):
     """A segment is one closed corner lift and one denumerant: no second
-    lift for the open triangle, and no quadrant count."""
+    lift for the open triangle, no quadrant count, and no
+    StableRightTriangle built for the lift."""
     calls = []
     lift, quadrant = triangles._corner_lift, triangles.quadrant_count
+    post_init = triangles.StableRightTriangle.__post_init__
     monkeypatch.setattr(triangles, "_corner_lift",
                         lambda *args: calls.append("lift") or lift(*args))
     monkeypatch.setattr(triangles, "quadrant_count",
                         lambda *args: calls.append("quadrant") or quadrant(*args))
+    monkeypatch.setattr(triangles.StableRightTriangle, "__post_init__",
+                        lambda self: calls.append("triangle") or post_init(self))
     assert segment_count(Segment(p, q)) == brute_segment(Segment(p, q))
     assert calls == ["lift"]
 

@@ -20,6 +20,8 @@ import sys
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout, suppress
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import countOf
 
 from . import oracle
 from .kernel import quadrant_blocks, quadrant_count
@@ -75,16 +77,48 @@ class CountReport:
 
 
 def dumps_canonical(obj):
-    """The one JSON writer: fixed key order (insertion), fixed separators."""
-    return json.dumps(obj, separators=(", ", ": "))
+    """The one JSON writer: fixed key order (insertion), fixed separators.
+
+    Counts are written as strings, so values of any size survive any JSON
+    reader: a list or tuple of ints is written as a list of decimal
+    strings.  A dict is written key by key under that rule; any other
+    value, a list of str among them, is written as json.dumps writes it,
+    so the output of json.loads round-trips unchanged."""
+    return _dumps(obj)
+
+
+_ENCODE = json.JSONEncoder(separators=(", ", ": ")).encode
+
+
+# recursion goes through _dumps, not the module-level name, so that a
+# wrapper of dumps_canonical (bench/tracer.py times it) sees one call
+def _dumps(obj):
+    if type(obj) is dict:
+        return "{%s}" % ", ".join(["%s: %s" % (encode_basestring_ascii(key), _dumps(value))
+                                   for key, value in obj.items()])
+    if _is_int_list(obj):
+        return _ints_text(obj, '", "', '["', '"]')
+    return _ENCODE(obj)
+
+
+def _is_int_list(value):
+    """True for a non-empty list or tuple of ints, bools excluded."""
+    return (type(value) in (list, tuple) and len(value) > 0
+            and countOf(map(type, value), int) == len(value))
+
+
+def _ints_text(values, sep=", ", head="", tail=""):
+    """The ints written in one printf pass: %d puts each int's digits
+    straight into the output, with no str built per entry."""
+    return (head + "%d" + (sep + "%d") * (len(values) - 1) + tail) % tuple(values)
 
 
 def render_text(report):
     lines = [f"{report.shape}: {report.count}"]
     if report.trace:
         for key, value in report.trace.items():
-            if isinstance(value, list):
-                value = ", ".join(value)
+            if type(value) in (list, tuple):
+                value = _ints_text(value) if _is_int_list(value) else ", ".join(value)
             lines.append(f"  {key}: {value}".rstrip())
     if report.oracle is not None:
         verdict = "agreed" if report.agreed else "DISAGREED"
@@ -93,10 +127,6 @@ def render_text(report):
 
 
 # --- helpers the query functions call --------------------------------------
-
-
-def _strs(values):
-    return [str(v) for v in values]
 
 
 def _read_polygon(path):
@@ -139,8 +169,7 @@ def _thr_query(args, a, b, c):
         k, r = divmod(max(c, 0), a * b)
         _check_trace_size(k + 2 + r // max(a, b))  # k + 1 blocks, r // max(a, b) + 1 tail terms
         blocks = quadrant_blocks(a, b, c)
-        trace = {"k": blocks.k, "blocks": _strs(blocks.block_counts),
-                 "tail_terms": _strs(blocks.tail_terms)}
+        trace = {"k": blocks.k, "blocks": blocks.block_counts, "tail_terms": blocks.tail_terms}
     return _Query(f"thr({a}, {b}, {c})", count, trace,
                   lambda budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget))
 
@@ -158,7 +187,7 @@ def _rtri_query(args, ax, ay, bx, by, cx, cy):
         kind, data = stable_right_reduction(tri)
         trace = {"reduction": kind}
         if kind == "quadrant":
-            trace.update(zip("abc", _strs(data)))
+            trace.update(zip("abc", map(str, data)))
         if parts:
             trace["excluded"] = sorted(parts)
     return _Query(f"rtri(A=({ax}, {ay}), B=({bx}, {by}), C=({cx}, {cy}))", count, trace,
@@ -176,7 +205,7 @@ def _tri_query(args, x1, y1, x2, y2, x3, y3):
 def _poly_query(args, poly):
     if args.trace:  # one edge-sum pass gives the count and its named terms
         terms = edge_sum(poly)
-        count, trace = sum(terms), dict(zip(terms._fields, _strs(terms)))
+        count, trace = sum(terms), dict(zip(terms._fields, map(str, terms)))
     else:
         count, trace = polygon_count(poly), None
     return _Query(f"poly(n={len(poly.vertices)})", count, trace,
@@ -188,7 +217,7 @@ def _tetra_query(args, a1, a2, a3, b):
         if min(a1, a2, a3) >= 1:  # else tetra_slice_counts rejects the generators
             _check_trace_size(b // max(a1, a2, a3) + 1)
         slices = tetra_slice_counts(a1, a2, a3, b)
-        count, trace = sum(slices), {"slices": _strs(slices)}
+        count, trace = sum(slices), {"slices": slices}
     else:
         count, trace = tetra_count(a1, a2, a3, b), None
     return _Query(f"tetra({a1}, {a2}, {a3}; {b})", count, trace,
@@ -221,7 +250,7 @@ def _semigroup_query(args, a, b):
     if args.gaps:
         _check_trace_size(sg.genus, "--gaps")
         gaps = sg.gaps()
-        return _Query(shape + " gaps", len(gaps), {"gaps": _strs(gaps)},
+        return _Query(shape + " gaps", len(gaps), {"gaps": gaps},
                       lambda budget: len(oracle.brute_gaps(a, b, budget=budget)))
     if args.apery is not None:
         s = parse_int(args.apery)
@@ -229,7 +258,7 @@ def _semigroup_query(args, a, b):
             _check_trace_size(s, "--apery")
         ap = sg.apery(s)
         # the count is the set's sum: a checksum that detects any wrong element
-        return _Query(shape + f" apery({s})", sum(ap), {"apery": _strs(ap)},
+        return _Query(shape + f" apery({s})", sum(ap), {"apery": ap},
                       lambda budget: sum(oracle.brute_apery(a, b, s, budget=budget)))
     if args.contains is not None:
         n = parse_int(args.contains)
@@ -381,6 +410,8 @@ def _run(argv, out, err):
         return 0 if written and exc.code in (0, None) else 1
     row = args.row
     try:
+        if args.oracle_budget < 0:
+            raise ValueError(f"--oracle-budget must be at least 0, got {args.oracle_budget}")
         parse = globals()[row.parse]
         query = row.query(args, *(parse(getattr(args, name)) for name in row.args))
         report = CountReport(query.shape, query.count, query.trace)

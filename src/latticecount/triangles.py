@@ -19,8 +19,10 @@ from .kernel import denumerant, quadrant_count
 
 
 def _as_point(p):
+    """p as a tuple of two Fractions; a Fraction is kept, not re-wrapped."""
     x, y = p
-    return (Fraction(x), Fraction(y))
+    return (x if type(x) is Fraction else Fraction(x),
+            y if type(y) is Fraction else Fraction(y))
 
 
 def _integer_points(points):

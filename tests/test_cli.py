@@ -5,8 +5,11 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticecount import cli, oracle, polygons, tetra
 from latticecount.triangles import quadrant_count, rect_count
@@ -345,6 +348,15 @@ def test_oracle_budget_flag(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["thr", "1", "1", "10", "--check", "--oracle-budget", "-5"],
+    ["tetra", "6", "10", "15", "21", "--oracle-budget", "-5", "--json"],
+])
+def test_negative_oracle_budget_is_an_input_error(capsys, argv):
+    assert run_cli(capsys, *argv) == (
+        1, "", "error: --oracle-budget must be at least 0, got -5\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["denumerant", "3", "7", "46"],
     ["denumerant3", "3", "5", "7", "10"],
     ["semigroup", "3", "7"],
@@ -552,6 +564,7 @@ INPUT_ERRORS = [
     "rect 1 0 0 1",
     "tetra 0 1 1 5",
     "thr 1 2",
+    "thr 1 1 10 --check --oracle-budget -5",
     "",
 ]
 
@@ -641,16 +654,24 @@ def test_cli_import_does_not_load_numpy():
 _HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.10.7
 
 
-def _unlimited_str(value):
-    """str(value) past the interpreter's int -> str digit limit."""
+@contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's int <-> str digit limit, as cli.run does."""
     if not _HAS_DIGIT_LIMIT:
-        return str(value)
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _unlimited_str(value):
+    """str(value) past the interpreter's int -> str digit limit."""
+    with _no_digit_limit():
+        return str(value)
 
 
 def _huge(digits):
@@ -687,6 +708,91 @@ def test_run_restores_the_callers_digit_limit(capsys, argv):
         assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# --- the writers ---------------------------------------------------------------
+# A trace list of ints reaches dumps_canonical and render_text as ints; each
+# writes it in one printf pass.  The reference is the rendering of the list
+# of strs that the queries used to build.
+
+
+def _old_json(obj):
+    return json.dumps(obj, separators=(", ", ": "))
+
+
+def _old_text(report, key, values):
+    return f"{report.shape}: {report.count}\n" + f"  {key}: {', '.join(map(str, values))}".rstrip()
+
+
+# more than 4,300 digits: past the interpreter's default int -> str limit
+_HUGE_INT = st.builds(lambda digits, sign: sign * (10**digits - 7),
+                      st.integers(4301, 5000), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(), st.sampled_from([0, -1, 1]), _HUGE_INT), max_size=12),
+       st.booleans())
+def test_writers_render_int_lists_as_their_strs(values, as_tuple):
+    values = tuple(values) if as_tuple else values  # thr's blocks are tuples
+    report = cli.CountReport("shape", 7, {"slices": values})
+    with _no_digit_limit():
+        strs = [str(v) for v in values]
+        assert cli.dumps_canonical(report.to_dict()) == _old_json(
+            {"shape": "shape", "count": "7", "trace": {"slices": strs}})
+        assert cli.render_text(report) == _old_text(report, "slices", values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(), st.one_of(st.lists(st.text()), st.text(), st.booleans(),
+                                            st.integers(), st.none()), max_size=4))
+def test_dumps_canonical_writes_names_as_json_dumps_does(obj):
+    """Lists of str, and every other value that is not a list of ints, take
+    json.dumps's path: non-ASCII text, empty lists and scalars included."""
+    assert cli.dumps_canonical(obj) == _old_json(obj)
+    assert cli.dumps_canonical({"trace": obj}) == _old_json({"trace": obj})
+
+
+def test_render_text_joins_names():
+    report = cli.CountReport("rtri(...)", 5, {"reduction": "quadrant",
+                                              "excluded": ["hypotenuse", "leg_x"],
+                                              "blocks": []})
+    assert cli.render_text(report) == ("rtri(...): 5\n  reduction: quadrant\n"
+                                       "  excluded: hypotenuse, leg_x\n  blocks:")
+
+
+@pytest.mark.parametrize("line, expected",
+                         [case for case in GOLDEN if "--json" in case[0]],
+                         ids=[line for line, _ in GOLDEN if "--json" in line])
+def test_golden_json_round_trips(line, expected):
+    """json.loads + dumps_canonical reproduces every JSON report byte for
+    byte: its lists hold str by then."""
+    assert cli.dumps_canonical(json.loads(expected)) + "\n" == expected
+
+
+def test_slice_list_at_the_trace_limit(capsys):
+    """10^6 slices, the most --trace lists: both writers give the bytes of
+    the per-entry str rendering."""
+    argv = ["tetra", "5", "7", "12", "11999999", "--trace"]
+    slices = tetra.tetra_slice_counts(5, 7, 12, 11999999)
+    assert len(slices) == cli.TRACE_LIMIT
+    report = cli.CountReport("tetra(5, 7, 12; 11999999)", sum(slices))
+    assert run_cli(capsys, *argv) == (0, _old_text(report, "slices", slices) + "\n", "")
+    strs = [str(v) for v in slices]
+    expected = _old_json({"shape": report.shape, "count": str(report.count),
+                          "trace": {"slices": strs}})
+    assert run_cli(capsys, *argv, "--json") == (0, expected + "\n", "")
+
+
+def test_gap_list_near_10_5_entries(capsys):
+    gaps = oracle.brute_gaps(447, 449)
+    assert len(gaps) == 99904
+    report = cli.CountReport("semigroup(447, 449) gaps", len(gaps))
+    assert run_cli(capsys, "semigroup", "447", "449", "--gaps") == (
+        0, _old_text(report, "gaps", gaps) + "\n", "")
+    expected = _old_json({"shape": report.shape, "count": str(report.count),
+                          "trace": {"gaps": [str(v) for v in gaps]}})
+    assert run_cli(capsys, "semigroup", "447", "449", "--gaps", "--json") == (
+        0, expected + "\n", "")
 
 
 # --- a report that cannot be written ------------------------------------------

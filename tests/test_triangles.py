@@ -209,6 +209,20 @@ def test_rect_count_rejects_reversed_bounds():
 # --- segments -----------------------------------------------------------------
 
 
+def test_shapes_keep_fraction_coordinates():
+    """A Fraction coordinate is stored as given, not re-wrapped; an int or a
+    rational string becomes an equal Fraction."""
+    x, y = F(1, 3), F(-7, 2)
+    seg = Segment((x, 2), (y, "5/4"))
+    assert seg.p[0] is x and seg.q[0] is y
+    assert seg.p[1] == 2 and seg.q[1] == F(5, 4)
+    assert {type(c) for c in seg.p + seg.q} == {Fraction}
+    t = StableRightTriangle(corner=(x, y), x_vertex=(5, y), y_vertex=(x, 4))
+    assert t.corner[0] is x and t.corner[1] is y and t.x_vertex[1] is y and t.y_vertex[0] is x
+    assert t.vertices == ((x, y), (F(5), y), (x, F(4)))
+    assert {type(c) for p in t.vertices for c in p} == {Fraction}
+
+
 def test_segment_count_examples():
     assert segment_count(Segment((0, 0), (6, 4))) == 3
     assert segment_count(Segment((F(1, 2), 0), (F(5, 2), 2))) == 0

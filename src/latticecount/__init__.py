@@ -2,7 +2,9 @@
 stable right tetrahedra, built on two-generator numerical semigroups.
 
 All arithmetic is exact: every count runs on unbounded ints, on the
-rational input points scaled to integers.  Every counter has an
+rational input points scaled to integers.  A Polygon is scaled once, at
+construction; a polygon file parses to integer pairs and is counted with
+no Fraction built.  Every counter has an
 independent brute-force twin in latticecount.oracle.
 """
 

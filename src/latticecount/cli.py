@@ -208,7 +208,7 @@ def _poly_query(args, poly):
         count, trace = sum(terms), dict(zip(terms._fields, map(str, terms)))
     else:
         count, trace = polygon_count(poly), None
-    return _Query(f"poly(n={len(poly.vertices)})", count, trace,
+    return _Query(f"poly(n={len(poly.points)})", count, trace,
                   lambda budget: oracle.brute_polygon(poly, budget=budget))
 
 
@@ -277,7 +277,7 @@ def _pick_query(args, poly):
     audit = pick_audit(poly)
     trace = {"area": format_rational(audit.area), "interior": str(audit.interior),
              "boundary": str(audit.boundary), "holds": audit.holds}
-    return _Query(f"pick(n={len(poly.vertices)})", audit.interior + audit.boundary, trace,
+    return _Query(f"pick(n={len(poly.points)})", audit.interior + audit.boundary, trace,
                   lambda budget: oracle.brute_polygon(poly, budget=budget))
 
 

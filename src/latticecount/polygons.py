@@ -7,6 +7,12 @@ with three edges, and a degenerate one is its segment hull.
 triangle_case names the bounding-box case of a triangle, for reports
 and tests; the count does not depend on it.
 
+A Polygon is scaled once, at construction, and holds its scale and
+counterclockwise integer points, which validation, edge_sum and
+pick_audit read; its Fraction vertices are built only when read.
+polygon_from_text parses each token straight to an integer pair, so a
+polygon file is parsed, validated and counted with no Fraction built.
+
 A polygon is validated on its scaled vertices by a Shamos-Hoey sweep of
 O(n log n) orientation and touch tests, but each insert, del and index on
 its list status is O(n): combs of 10k to 80k vertices validate in 0.30 to
@@ -19,10 +25,11 @@ is provided for integral-vertex polygons.
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .kernel import floor_sum
-from .rationals import parse_rational
+from .rationals import parse_ratio
 from .triangles import Segment, _as_point, _integer_points, segment_count
 
 
@@ -124,22 +131,43 @@ def signed_area2(vertices):
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Polygon:
     """Simple closed polygon with rational vertices, stored counterclockwise.
 
-    Construction rejects anything that is not strictly simple: fewer than
-    three vertices, repeated vertices, a vertex lying on a non-incident
-    edge, overlapping adjacent edges, crossing edges, or zero area.
+    Polygon(vertices) takes each coordinate as Fraction() does.
+    Construction scales the vertices once to integer points: `scale`, the
+    lcm of their denominators, times each vertex.  It rejects anything that
+    is not strictly simple: fewer than three vertices, repeated vertices, a
+    vertex lying on a non-incident edge, overlapping adjacent edges,
+    crossing edges, or zero area.  The polygon holds `scale` and its
+    counterclockwise `points`; `vertices`, the tuple of Fraction pairs, is
+    built from them when first read.
     """
 
-    vertices: tuple
+    scale: int
+    points: tuple
 
-    def __post_init__(self):
-        verts = tuple(_as_point(p) for p in self.vertices)
-        if _validate_simple(verts) < 0:
-            verts = tuple(reversed(verts))
-        object.__setattr__(self, "vertices", verts)
+    def __init__(self, vertices):
+        self._hold([_as_point(p) for p in vertices])
+
+    def _hold(self, rationals):
+        """Scale the points whose coordinates are rationals in lowest terms
+        (a Fraction, an int or a parsed Ratio) to integer points, validate
+        them and hold them counterclockwise."""
+        scale, pts = _integer_points(rationals)
+        if _validate_simple(pts) < 0:
+            pts.reverse()
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "points", tuple(pts))
+
+    @cached_property
+    def vertices(self):
+        L = self.scale
+        return tuple((Fraction(x, L), Fraction(y, L)) for x, y in self.points)
+
+    def __repr__(self):
+        return f"Polygon(vertices={self.vertices!r})"
 
 
 def _segments_touch(a, b, c, d):
@@ -236,22 +264,21 @@ def _sweep_touches(pts):
     return False
 
 
-def _validate_simple(verts):
-    """Raise ValueError unless the vertices form a strictly simple polygon;
-    return twice its signed area, scaled by a positive square.
+def _validate_simple(pts):
+    """Raise ValueError unless the integer points form a strictly simple
+    polygon; return twice their signed area.
 
-    Runs on the integer points of the vertices.  Adjacent edges u-v, v-w
-    overlap exactly when they are collinear and w folds back towards u;
-    any other pair of edges must not touch at all, which a sweep decides
-    with O(n log n) orientation and touch tests, though each operation on
-    its list status is O(n); a triangle has no such pair.  Only when an
-    overlap or a touch is found does the O(n^2) pairwise scan run, with no
-    bound on its work, to name the first offending pair.
+    Adjacent edges u-v, v-w overlap exactly when they are collinear and w
+    folds back towards u; any other pair of edges must not touch at all,
+    which a sweep decides with O(n log n) orientation and touch tests,
+    though each operation on its list status is O(n); a triangle has no
+    such pair.  Only when an overlap or a touch is found does the O(n^2)
+    pairwise scan run, with no bound on its work, to name the first
+    offending pair.
     """
-    n = len(verts)
+    n = len(pts)
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-    _, pts = _integer_points(verts)
     if len(set(pts)) != n:
         raise ValueError("polygon has a repeated vertex")
     if (any(_folds_back(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n))
@@ -268,7 +295,7 @@ EdgeSum = namedtuple("EdgeSum", ["column_sum", "boundary_correction"])
 
 def edge_sum(p):
     """The two terms of polygon_count(p), from one pass over the edges of the
-    polygon scaled to integer points (scale L, counterclockwise).
+    polygon's integer points (scale L, counterclockwise).
 
     column_sum: a non-vertical edge from x0 to x1 > x0 covers the columns x
     with L*x in [x0, x1).  Traversed right to left (upper boundary) it adds
@@ -282,7 +309,7 @@ def edge_sum(p):
     on an upward vertical line; minus each reflex vertex whose neighbours
     both have x > its x, where two covered intervals meet.
     """
-    return _edge_terms(*_integer_points(p.vertices))
+    return _edge_terms(p.scale, p.points)
 
 
 def _edge_terms(L, pts):
@@ -330,10 +357,11 @@ def pick_audit(p):
     The area comes from the shoelace sum, the boundary count from per-edge
     gcds, and the interior count from the edge sum minus the boundary.
     """
-    L, pts = _integer_points(p.vertices)
-    for vert, pt in zip(p.vertices, pts):
-        if pt[0] % L or pt[1] % L:
-            raise ValueError(f"pick_audit requires integral vertices, got ({vert[0]}, {vert[1]})")
+    L, pts = p.scale, p.points
+    if L != 1:  # the lcm of the denominators: some vertex is not integral
+        x, y = next(pt for pt in pts if pt[0] % L or pt[1] % L)
+        raise ValueError(f"pick_audit requires integral vertices, "
+                         f"got ({Fraction(x, L)}, {Fraction(y, L)})")
     area = Fraction(abs(signed_area2(pts)), 2)
     boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
     interior = sum(_edge_terms(L, pts)) - boundary
@@ -353,7 +381,9 @@ def polygon_from_text(text):
         if len(tokens) != 2:
             raise ValueError(f"line {lineno}: expected 'x y', got {raw.strip()!r}")
         try:
-            points.append((parse_rational(tokens[0]), parse_rational(tokens[1])))
+            points.append((parse_ratio(tokens[0]), parse_ratio(tokens[1])))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return Polygon(tuple(points))
+    poly = Polygon.__new__(Polygon)  # the Ratios are scaled as parsed, no Fraction built
+    poly._hold(points)
+    return poly

@@ -1,41 +1,65 @@
 """The text format of exact integers and rationals.
 
-Shapes keep their input as fractions.Fraction (lowest terms, positive
-denominator); each count scales its shape's points by the lcm of their
-denominators and runs on Python's unbounded ints (a poly request scales
-its vertices twice: to validate, then to count).  No floating point is used.
+A rational token parses once, by parse_ratio, to its Ratio: the numerator
+and denominator in lowest terms, denominator positive.  Shapes other than
+polygons keep their input as fractions.Fraction (parse_rational, the
+Fraction of that pair); a polygon keeps only its points scaled to
+integers, so a poly request parses, validates and counts with no Fraction
+built.  Each count scales its shape's points by the lcm of their
+denominators, once, and runs on Python's unbounded ints.  No floating
+point is used.
 
 Division is floor-style throughout: the remainder of n mod d lies in
 [0, d) for d > 0, which is what Python's // and % already do.
 """
 
 import re
+from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
-_RATIONAL_RE = re.compile(r"[+-]?(?:\d+\.\d+|\d+/\d+|\d+)\Z")
+_RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:\.(\d+)|/(\d+))?")
+_INT_RE = re.compile(r"[+-]?\d+")
+
+# a rational as the integer pair it parses to: the names are Fraction's, so
+# the scaling of points reads a Ratio, a Fraction and an int alike
+Ratio = namedtuple("Ratio", ["numerator", "denominator"])
 
 
-def parse_rational(text):
-    """Parse "p/q", "p" or "d.ddd" (optional sign) into an exact Fraction.
+def parse_ratio(text):
+    """Parse "p/q", "p" or "d.ddd" (optional sign) into its Ratio, in lowest
+    terms with a positive denominator, building no Fraction.
 
-    Decimal strings stay exact: "3.5" -> 7/2.  Anything else, including
+    Decimal strings stay exact: "3.5" -> (7, 2).  Anything else, including
     a zero denominator, raises ValueError naming the offending token.
     """
     token = text.strip()
-    if not _RATIONAL_RE.fullmatch(token):
+    match = _RATIONAL_RE.fullmatch(token)
+    if match is None:
         raise ValueError(f"malformed rational {token!r}")
-    if "/" in token:
-        num, den = map(int, token.split("/"))
+    sign, whole, decimals, denominator = match.groups()
+    num, den = int(whole), 1
+    if decimals is not None:
+        den = 10 ** len(decimals)
+        num = num * den + int(decimals)
+    elif denominator is not None:
+        den = int(denominator)
         if den == 0:
             raise ValueError(f"zero denominator in {token!r}")
-        return Fraction(num, den)
-    return Fraction(token)
+    g = gcd(num, den)
+    return Ratio((-num if sign == "-" else num) // g, den // g)
+
+
+def parse_rational(text):
+    """Parse "p/q", "p" or "d.ddd" (optional sign) into an exact Fraction:
+    the Fraction of parse_ratio's pair, with its error messages."""
+    return Fraction(*parse_ratio(text))
 
 
 def parse_int(text):
     """Parse a (possibly signed) decimal integer, rejecting anything else."""
     token = text.strip()
-    if not re.fullmatch(r"[+-]?\d+", token):
+    if not _INT_RE.fullmatch(token):
         raise ValueError(f"malformed integer {token!r}")
     return int(token)
 

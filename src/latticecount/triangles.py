@@ -28,7 +28,9 @@ def _as_point(p):
 def _integer_points(points):
     """(scale, points * scale) for scale the lcm of every coordinate
     denominator: integer points with the same orientations, incidences
-    and coordinate order as the rational ones."""
+    and coordinate order as the rational ones.  A coordinate is read by its
+    numerator and denominator in lowest terms: a Fraction, an int or a
+    parsed rationals.Ratio."""
     scale = lcm(*(c.denominator for p in points for c in p))
     return scale, [(x.numerator * (scale // x.denominator),
                     y.numerator * (scale // y.denominator)) for x, y in points]

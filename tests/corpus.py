@@ -2,9 +2,12 @@
 
 Coordinates follow the common regime: rationals in [-10, 10] with
 denominators at most 8, produced from a caller-supplied random.Random so
-every test run sees the same instances.
+every test run sees the same instances.  no_digit_limit lifts the
+interpreter's int <-> str digit limit for the tests of huge values.
 """
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor, gcd
@@ -239,3 +242,20 @@ def random_simple_polygon(rng, n, integral=True, span=SPAN, max_tries=500):
         except ValueError:
             continue
     raise RuntimeError(f"could not generate a simple polygon with {n} vertices")
+
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.10.7
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift the interpreter's int <-> str digit limit, as cli.run does."""
+    if not HAS_DIGIT_LIMIT:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import HAS_DIGIT_LIMIT, no_digit_limit
 from latticecount import cli, oracle, polygons, tetra
 from latticecount.triangles import quadrant_count, rect_count
 
@@ -256,6 +257,27 @@ def test_poly_trace_runs_the_edge_sum_once(capsys, monkeypatch, tmp_path, trace)
     code, out, _ = run_cli(capsys, "poly", str(path), *(["--trace"] if trace else []))
     assert code == 0 and out.startswith("poly(n=5): 26\n")
     assert (len(passes), len(triangles)) == (1, 0)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--trace",), ("--trace", "--json")])
+def test_poly_request_scales_once_and_builds_no_fraction(capsys, monkeypatch, tmp_path, flags):
+    """A poly request parses its tokens to integer pairs, scales them to
+    integer points once and counts on those: without --check no Fraction
+    is built.  With --check the oracle reads the Fraction vertices."""
+    path = tmp_path / "hex.txt"
+    path.write_text("0 0\n7/2 -1/3\n5 2.25\n2 5\n-1/2 3\n-1 1.5\n")
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: made.append(args) or new(cls, *args, **kwargs)))
+    scalings = _count_calls(monkeypatch, (polygons,), "_integer_points")
+    code, out, _ = run_cli(capsys, "poly", str(path), *flags)
+    json_mode = "--json" in flags
+    assert code == 0 and ('"count": "23"' if json_mode else "poly(n=6): 23\n") in out
+    assert (made, len(scalings)) == ([], 1)
+    code, out, _ = run_cli(capsys, "poly", str(path), "--check", *flags)
+    assert code == 0 and ('"agreed": true' if json_mode else "oracle: 23 (agreed)") in out
+    assert len(scalings) == 2
 
 
 def test_tetra_trace_is_one_slice_pass(capsys, monkeypatch):
@@ -651,26 +673,10 @@ def test_cli_import_does_not_load_numpy():
 
 # --- counts of any size ------------------------------------------------------
 
-_HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.10.7
-
-
-@contextmanager
-def _no_digit_limit():
-    """Lift the interpreter's int <-> str digit limit, as cli.run does."""
-    if not _HAS_DIGIT_LIMIT:
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
 
 def _unlimited_str(value):
     """str(value) past the interpreter's int -> str digit limit."""
-    with _no_digit_limit():
+    with no_digit_limit():
         return str(value)
 
 
@@ -698,7 +704,7 @@ def test_rect_input_past_the_digit_limit(capsys):
     assert json.loads(out)["count"] == _unlimited_str(rect_count((0, 0), (x1, 1)))
 
 
-@pytest.mark.skipif(not _HAS_DIGIT_LIMIT, reason="no int digit limit before Python 3.10.7")
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit before Python 3.10.7")
 @pytest.mark.parametrize("argv", [["thr", "3", "7", "9" * 2200], ["thr", "3", "7", "x"]])
 def test_run_restores_the_callers_digit_limit(capsys, argv):
     limit = sys.get_int_max_str_digits()
@@ -735,7 +741,7 @@ _HUGE_INT = st.builds(lambda digits, sign: sign * (10**digits - 7),
 def test_writers_render_int_lists_as_their_strs(values, as_tuple):
     values = tuple(values) if as_tuple else values  # thr's blocks are tuples
     report = cli.CountReport("shape", 7, {"slices": values})
-    with _no_digit_limit():
+    with no_digit_limit():
         strs = [str(v) for v in values]
         assert cli.dumps_canonical(report.to_dict()) == _old_json(
             {"shape": "shape", "count": "7", "trace": {"slices": strs}})

@@ -632,3 +632,91 @@ def test_polygon_from_text_errors():
         polygon_from_text("0 0\n1/0 1\n2 2\n")
     with pytest.raises(ValueError, match="intersect"):
         polygon_from_text("0 0\n2 2\n2 0\n0 2\n")
+
+
+# the invalid shapes of the validation tests above
+_INVALID = {
+    "bowtie": ((0, 0), (2, 2), (2, 0), (0, 2)),
+    "repeated vertex": ((0, 0), (1, 0), (1, 0), (0, 1)),
+    "vertex on an edge": _ON_EDGE,
+    "vertex on an edge, mixed denominators": (
+        (0, 0), (F(3, 8), F(5, 3)), (F(-7, 5), F(9, 4)), (F(3, 16), F(5, 6)),
+        (F(-11, 13), F(-1, 7))),
+    "fold-back": ((0, 0), (F(7, 3), F(1, 3)), (F(7, 6), F(1, 6)), (0, F(5, 2))),
+    "zero area": ((0, 0), (4, 0), (2, 0)),
+    "fewer than 3 vertices": ((0, 0), (1, 1)),
+}
+
+
+def _token(rng, c):
+    """c in one of the accepted text forms: p/q unreduced, with leading
+    zeros or a sign, or a decimal with trailing zeros when c has one."""
+    c = F(c)
+    k = rng.randint(1, 6)
+    forms = [str(c), f"{c.numerator * k}/{c.denominator * k}",
+             f"{'+' if c >= 0 else '-'}00{abs(c.numerator)}/0{c.denominator}"]
+    tens = 10 ** 6
+    if tens % c.denominator == 0:
+        scaled = abs(c.numerator) * (tens // c.denominator)
+        forms.append(f"{'-' if c < 0 else ''}{scaled // tens}.{scaled % tens:06d}00")
+    return rng.choice(forms)
+
+
+def _text(rng, vertices):
+    return "".join(f"{_token(rng, x)} {_token(rng, y)}\n" for x, y in vertices)
+
+
+def _polygon_or_message(build, arg):
+    try:
+        return build(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_polygon_from_text_is_the_polygon_of_its_vertices():
+    """Parsed to integer pairs, a polygon file gives the polygon of its
+    vertices: equal, with the same Fraction vertices and count, and the
+    same message for every invalid shape."""
+    rng = random.Random(19)
+    shapes = list(_INVALID.values()) + [
+        _OFF_EDGE, ((0, 0), (0, 1), (1, 1), (1, 0)),
+        ((F(1, 16), 0), (F(15, 2), F(1, 3)), (F(29, 4), F(37, 5)), (F(13, 11), F(55, 9)),
+         (F(-3, 7), F(50, 13)), (F(-5, 12), F(1, 15)), (F(1, 6), F(-7, 10))),
+        ((F(-1, 2), F(-1, 2)), (F(5, 2), F(-1, 2)), (F(5, 2), F(5, 2)), (F(-1, 2), F(5, 2))),
+    ]
+    for _ in range(60):
+        shapes.append(random_simple_polygon(rng, rng.randint(3, 12),
+                                            integral=rng.random() < 0.3).vertices)
+    rejected = 0
+    for vertices in shapes:
+        built = _polygon_or_message(Polygon, vertices)
+        rejected += isinstance(built, str)
+        for _ in range(3):
+            parsed = _polygon_or_message(polygon_from_text, _text(rng, vertices))
+            if isinstance(built, str):
+                assert parsed == built, vertices
+                continue
+            assert parsed == built and hash(parsed) == hash(built)
+            assert parsed.vertices == built.vertices
+            assert {type(c) for p in parsed.vertices for c in p} == {Fraction}
+            assert (parsed.scale, parsed.points) == (built.scale, built.points)
+            assert repr(parsed) == repr(built)
+            assert polygon_count(parsed) == polygon_count(built)
+            assert (_polygon_or_message(pick_audit, parsed)
+                    == _polygon_or_message(pick_audit, built))
+    assert rejected == len(_INVALID)
+
+
+def test_polygon_holds_its_points():
+    """The polygon holds its scale and counterclockwise integer points; its
+    Fraction vertices are built from them, and it stays immutable."""
+    poly = Polygon(((0, 0), (0, F(3, 2)), (F(4, 3), 1)))  # clockwise
+    assert (poly.scale, poly.points) == (6, ((8, 6), (0, 9), (0, 0)))
+    assert poly.vertices == ((F(4, 3), 1), (0, F(3, 2)), (0, 0))
+    assert poly.vertices is poly.vertices
+    assert repr(poly) == ("Polygon(vertices=((Fraction(4, 3), Fraction(1, 1)), "
+                          "(Fraction(0, 1), Fraction(3, 2)), (Fraction(0, 1), Fraction(0, 1))))")
+    assert Polygon(poly.vertices) == poly and hash(Polygon(poly.vertices)) == hash(poly)
+    for name in ("scale", "points", "vertices"):
+        with pytest.raises(AttributeError):
+            setattr(poly, name, None)

@@ -13,13 +13,14 @@ pick_audit read; its Fraction vertices are built only when read.
 polygon_from_text parses each token straight to an integer pair, so a
 polygon file is parsed, validated and counted with no Fraction built.
 
-A polygon is validated on its scaled vertices by a Shamos-Hoey sweep of
-O(n log n) orientation and touch tests, but each insert, del and index on
-its list status is O(n): combs of 10k to 80k vertices validate in 0.30 to
-11.2 s (Python 3.11.7, shared 2-vCPU host).  An invalid polygon's first
-offending pair is named by the O(n^2) pairwise scan, whose work has no
-bound: an 8,005-vertex invalid comb takes 43.1 s.  A Pick's-theorem audit
-is provided for integral-vertex polygons.
+A polygon is validated on its scaled vertices in one pass that decides
+and names: the first overlapping pair of adjacent edges, else the pair
+of touching edges where a Shamos-Hoey sweep stops.  The sweep makes
+O(n log n) orientation tests and at most 3n touch tests, valid or not,
+but each insert, del and index on its list status is O(n): combs of 10k
+to 80k vertices validate in 0.30 to 11.2 s, and an 8,005-vertex invalid
+comb is rejected in 0.04 to 0.09 s (Python 3.11.7, shared 2-vCPU
+host).  A Pick's-theorem audit is provided for integral-vertex polygons.
 """
 
 from collections import namedtuple
@@ -188,31 +189,12 @@ def _folds_back(u, v, w):
     return dot > 0 and _cross(u, v, w) == 0
 
 
-def _pairwise_scan(pts):
-    """Raise ValueError naming the first pair of edges i-j (by i, then j)
-    that overlap, when adjacent, or touch at all, when not.  O(n^2): it
-    runs only once such a pair is known to exist."""
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            c, d = pts[j], pts[(j + 1) % n]
-            if j == i + 1 or (i == 0 and j == n - 1):
-                if _folds_back(*((a, b, d) if j == i + 1 else (c, a, b))):
-                    raise ValueError(
-                        f"polygon edges {i}-{(i + 1) % n} and {j}-{(j + 1) % n} overlap"
-                    )
-            elif _segments_touch(a, b, c, d):
-                raise ValueError(
-                    f"polygon is not simple: edges {i}-{(i + 1) % n} and "
-                    f"{j}-{(j + 1) % n} intersect"
-                )
-
-
 def _sweep_touches(pts):
-    """Do two non-adjacent edges of the closed polygon pts touch?  For
-    distinct integer points with no adjacent fold-back; O(n log n)
-    orientation and touch tests.
+    """The first pair (k, t) of non-adjacent edges of the closed polygon
+    pts that the sweep finds touching, or None if no two do.  For distinct
+    integer points with no adjacent fold-back; O(n log n) orientation tests
+    and at most 3n touch tests, two as each edge enters the status and one
+    as it leaves.
 
     The sweep of Shamos and Hoey, left to right over the vertices in
     (x, y) order: the order of a line tilted infinitesimally off the
@@ -244,7 +226,7 @@ def _sweep_touches(pts):
                 i = status.index(k)
                 del status[i]
                 if 0 < i < len(status) and touch(status[i - 1], status[i]):
-                    return True
+                    return status[i - 1], status[i]
         for k in (v - 1) % n, v:
             if ends[k][0] != p:
                 continue
@@ -258,10 +240,11 @@ def _sweep_touches(pts):
                 else:
                     hi = mid
             status.insert(lo, k)
-            if (lo > 0 and touch(k, status[lo - 1])
-                    or lo + 1 < len(status) and touch(k, status[lo + 1])):
-                return True
-    return False
+            if lo > 0 and touch(k, status[lo - 1]):
+                return k, status[lo - 1]
+            if lo + 1 < len(status) and touch(k, status[lo + 1]):
+                return k, status[lo + 1]
+    return None
 
 
 def _validate_simple(pts):
@@ -269,21 +252,27 @@ def _validate_simple(pts):
     polygon; return twice their signed area.
 
     Adjacent edges u-v, v-w overlap exactly when they are collinear and w
-    folds back towards u; any other pair of edges must not touch at all,
-    which a sweep decides with O(n log n) orientation and touch tests,
-    though each operation on its list status is O(n); a triangle has no
-    such pair.  Only when an overlap or a touch is found does the O(n^2)
-    pairwise scan run, with no bound on its work, to name the first
-    offending pair.
+    folds back towards u; the message names the first such pair of edges
+    i-j by (i, j).  Otherwise no other pair of edges may touch at all,
+    which _sweep_touches decides with O(n log n) orientation tests and at
+    most 3n touch tests, though each operation on its list status is O(n);
+    the message names the touching pair it stops at, i < j.  A triangle
+    has no such pair.
     """
     n = len(pts)
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
     if len(set(pts)) != n:
         raise ValueError("polygon has a repeated vertex")
-    if (any(_folds_back(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n))
-            or n > 3 and _sweep_touches(pts)):
-        _pairwise_scan(pts)
+    folds = [(i - 1, i) if i else (0, n - 1)
+             for i in range(n) if _folds_back(pts[i - 1], pts[i], pts[(i + 1) % n])]
+    if folds:
+        i, j = min(folds)
+        raise ValueError(f"polygon edges {i}-{i + 1} and {j}-{(j + 1) % n} overlap")
+    if n > 3 and (pair := _sweep_touches(pts)):
+        i, j = sorted(pair)
+        raise ValueError(f"polygon is not simple: edges {i}-{i + 1} and "
+                         f"{j}-{(j + 1) % n} intersect")
     area2 = signed_area2(pts)
     if area2 == 0:
         raise ValueError("polygon has zero area")

@@ -264,9 +264,12 @@ def test_polygon_validation():
         Polygon(((0, 0), (2, 2), (2, 0), (0, 2)))  # bowtie
     with pytest.raises(ValueError, match="overlap"):
         Polygon(((0, 0), (4, 0), (2, 0)))  # backtracking edge
-    with pytest.raises(ValueError, match="intersect"):
-        # vertex of one edge lying on a non-incident edge
+    with pytest.raises(ValueError, match="edges 0-1 and 3-0 overlap"):
+        # the last edge ends on the first, which it also folds back onto
         Polygon(((0, 0), (4, 0), (4, 4), (2, 0)))
+    with pytest.raises(ValueError, match="edges 0-1 and 3-4 intersect"):
+        # vertex of one edge lying on a non-incident edge
+        Polygon(((0, 0), (4, 0), (4, 4), (2, 0), (0, 4)))
 
 
 # A vertex at (1/3, 1/3) lies exactly on the edge (0, 0)-(1, 1) of this
@@ -276,7 +279,7 @@ _OFF_EDGE = ((0, 0), (1, 1), (1, 3), (-1, 3), (F(1, 3) - F(1, 1000), F(1, 3)), (
 
 
 def test_polygon_validation_exact_incidences():
-    with pytest.raises(ValueError, match="edges 0-1 and 3-4 intersect"):
+    with pytest.raises(ValueError, match="edges 0-1 and 4-5 intersect"):
         Polygon(_ON_EDGE)
     poly = Polygon(_OFF_EDGE)
     assert polygon_count(poly) == brute_polygon(poly) == 9
@@ -287,7 +290,7 @@ def test_polygon_validation_exact_incidences():
 
 def test_polygon_mixed_denominators():
     # (3/16, 5/6) is the midpoint of the edge (0, 0)-(3/8, 5/3)
-    with pytest.raises(ValueError, match="edges 0-1 and 2-3 intersect"):
+    with pytest.raises(ValueError, match="edges 0-1 and 3-4 intersect"):
         Polygon(((0, 0), (F(3, 8), F(5, 3)), (F(-7, 5), F(9, 4)), (F(3, 16), F(5, 6)),
                  (F(-11, 13), F(-1, 7))))
     poly = Polygon(((F(1, 16), 0), (F(15, 2), F(1, 3)), (F(29, 4), F(37, 5)),
@@ -323,24 +326,29 @@ def test_validation_and_triangulation_scale_invariant():
     assert seen == {True, False}
 
 
-# --- the sweep against the pairwise scan --------------------------------------
-# The sweep decides, and the pairwise scan only names the first offending
-# pair; on small half-integer grids almost every vertex list is degenerate.
+# --- the sweep against the reference scan -------------------------------------
+# The reference tests every pair of edges in (i, j) order; validation names a
+# pair it finds offending, and the same pair when only one offends.  On small
+# half-integer grids almost every vertex list is degenerate.
 
 
-def _pairwise_outcome(vertices):
-    """_outcome with the pairwise scan run on every polygon."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polygons, "_sweep_touches", lambda pts: True)
-        return _outcome(vertices)
-
-
-def _pairwise_touch(pts):
-    try:
-        polygons._pairwise_scan(pts)
-    except ValueError:
-        return True
-    return False
+def _offences(pts):
+    """Every offending pair of edges (i, j), i < j, of the closed polygon pts,
+    in (i, j) order, mapped to its message: adjacent edges that overlap, and
+    others that touch at all.  O(n^2)."""
+    n = len(pts)
+    found = {}
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            c, d = pts[j], pts[(j + 1) % n]
+            edges = f"edges {i}-{i + 1} and {j}-{(j + 1) % n}"
+            if j == i + 1 or (i == 0 and j == n - 1):
+                if polygons._folds_back(*((a, b, d) if j == i + 1 else (c, a, b))):
+                    found[i, j] = f"polygon {edges} overlap"
+            elif polygons._segments_touch(a, b, c, d):
+                found[i, j] = f"polygon is not simple: {edges} intersect"
+    return found
 
 
 def _features(pts):
@@ -366,7 +374,7 @@ def _features(pts):
     return found
 
 
-def test_sweep_agrees_with_the_pairwise_scan():
+def test_sweep_agrees_with_the_reference_scan():
     grid = [F(k, 2) for k in range(3)]
     cases = list(itertools.product(itertools.product(grid, grid), repeat=4))
     rng = random.Random(1976)
@@ -384,15 +392,25 @@ def test_sweep_agrees_with_the_pairwise_scan():
     swept, features = Counter(), Counter()
     for vertices in cases:
         base = _outcome(vertices)
-        assert base == _pairwise_outcome(vertices), vertices
         _, pts = _integer_points([_as_point(p) for p in vertices])
         n = len(pts)
-        if len(set(pts)) < n or any(polygons._folds_back(pts[i - 1], pts[i], pts[(i + 1) % n])
-                                    for i in range(n)):
+        if len(set(pts)) < n:
+            assert base == "polygon has a repeated vertex", vertices
+            continue
+        offences = _offences(pts)
+        valid = not offences and signed_area2(pts) != 0
+        assert isinstance(base, str) != valid, vertices
+        if offences:  # byte-identical to the reference where one pair offends
+            assert base in offences.values(), vertices
+        overlaps = [m for m in offences.values() if m.endswith("overlap")]
+        if overlaps:  # named before any touch, the first by (i, j)
+            assert base == overlaps[0], vertices
             continue
         touch = polygons._sweep_touches(pts)
-        assert touch == _pairwise_touch(pts), vertices
-        swept[touch] += 1
+        assert (touch is not None) == bool(offences), vertices
+        if touch:
+            assert tuple(sorted(touch)) in offences, vertices
+        swept[touch is not None] += 1
         features.update(_features(pts))
     assert min(swept[True], swept[False]) > 1000, swept
     assert len(features) == 5 and min(features.values()) > 100, features
@@ -409,12 +427,25 @@ def _comb(teeth, length):
     return pts + [(0, 2 * teeth - 1)]
 
 
-@pytest.mark.parametrize("shape", ["comb", "star"])
+def _invalid_comb(teeth):
+    """2t + 5 vertices, for t teeth: a zigzag, then a bowtie whose edges
+    2t-2t+1 and 2t+2-2t+3 cross, its valid twin having none of the
+    vertices 2t+1 to 2t+3."""
+    pts = []
+    for i in range(teeth):
+        pts += [(2 * i, 0), (2 * i + 1, 10)]
+    x = 2 * teeth
+    return pts + [(x, -5), (x - 4, -9), (x - 4, -6), (x, -9), (-1, -5)]
+
+
+@pytest.mark.parametrize("shape", ["comb", "star", "invalid comb"])
 def test_validation_work_is_bounded(monkeypatch, shape):
     if shape == "comb":
         pts = _comb(500, 10**6)
-    else:
+    elif shape == "star":
         pts = _star(random.Random(1000), 1000, 10**6, (7, 3))[1]
+    else:
+        pts = _invalid_comb(1000)
     calls = []
 
     def counted(*args, _touch=polygons._segments_touch):
@@ -423,8 +454,13 @@ def test_validation_work_is_bounded(monkeypatch, shape):
 
     monkeypatch.setattr(polygons, "_segments_touch", counted)
     n = len(pts)
-    assert n == (2000 if shape == "comb" else 1000)
-    assert len(Polygon(tuple(pts)).vertices) == n
+    if shape == "invalid comb":
+        assert n == 2005
+        with pytest.raises(ValueError, match="not simple"):
+            Polygon(tuple(pts))
+    else:
+        assert n == (2000 if shape == "comb" else 1000)
+        assert len(Polygon(tuple(pts)).vertices) == n
     assert 0 < len(calls) <= 4 * n
 
 

@@ -19,7 +19,6 @@ import re
 import sys
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout, suppress
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import countOf
 
@@ -57,13 +56,9 @@ TRACE_LIMIT = 10**6
 _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+|\d*\.\d+|\d+/\d+)$")
 
 
-@dataclass
-class CountReport:
-    shape: str
-    count: int
-    trace: dict | None = None
-    oracle: int | None = None
-    agreed: bool | None = None
+class CountReport(namedtuple("CountReport", ["shape", "count", "trace", "oracle", "agreed"],
+                             defaults=(None, None, None))):
+    __slots__ = ()
 
     def to_dict(self):
         out = {"shape": self.shape, "count": str(self.count)}
@@ -284,8 +279,8 @@ def _pick_query(args, poly):
 # --- the subcommand table --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subcommand:
+class Subcommand(namedtuple("Subcommand", ["name", "help", "args", "parse", "query", "options"],
+                            defaults=(None,))):
     """One CLI subcommand.
 
     `parse` names the function of this module that reads each positional
@@ -297,12 +292,7 @@ class Subcommand:
     subcommand's own flags to its parser.
     """
 
-    name: str
-    help: str
-    args: tuple
-    parse: str
-    query: object
-    options: object = None
+    __slots__ = ()
 
 
 SUBCOMMANDS = (
@@ -416,8 +406,8 @@ def _run(argv, out, err):
         query = row.query(args, *(parse(getattr(args, name)) for name in row.args))
         report = CountReport(query.shape, query.count, query.trace)
         if args.check:
-            report.oracle = query.oracle(args.oracle_budget)
-            report.agreed = report.count == report.oracle
+            brute = query.oracle(args.oracle_budget)
+            report = report._replace(oracle=brute, agreed=report.count == brute)
     except (ValueError, OSError) as exc:
         _write(f"error: {exc}", err, err, "the error message", end="\n")
         return 1

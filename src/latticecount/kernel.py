@@ -11,7 +11,7 @@ O(log min(a, b)) arithmetic steps on integers of the input's size.  The
 points on the line a*x + b*y = c are Popoviciu's denumerant of c.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 
@@ -111,8 +111,7 @@ def quadrant_count(a, b, c):
     return full_strips(a, b, k, c) + n + floor_sum(n, a, b, r % b)
 
 
-@dataclass(frozen=True)
-class BlockTrace:
+class BlockTrace(namedtuple("BlockTrace", ["k", "block_counts", "tail_terms"])):
     """Vertical-strip decomposition of a quadrant triangle.
 
     block_counts[i] is the number of lattice points with
@@ -120,9 +119,7 @@ class BlockTrace:
     partial strip and tail_terms holds its per-column summands.
     """
 
-    k: int
-    block_counts: tuple
-    tail_terms: tuple
+    __slots__ = ()
 
     @property
     def total(self):

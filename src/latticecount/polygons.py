@@ -24,7 +24,6 @@ host).  A Pick's-theorem audit is provided for integral-vertex polygons.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -59,16 +58,13 @@ TRIANGLE_CASES = (
 )
 
 
-@dataclass(frozen=True)
-class Triangle:
-    v1: tuple
-    v2: tuple
-    v3: tuple
+class Triangle(namedtuple("Triangle", ["v1", "v2", "v3"])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "v1", _as_point(self.v1))
-        object.__setattr__(self, "v2", _as_point(self.v2))
-        object.__setattr__(self, "v3", _as_point(self.v3))
+    def __new__(cls, v1, v2, v3):
+        return super().__new__(cls, _as_point(v1), _as_point(v2), _as_point(v3))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace converts too
 
     @property
     def vertices(self):
@@ -132,8 +128,7 @@ def signed_area2(vertices):
     return total
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Polygon:
+class Polygon(namedtuple("Polygon", ["scale", "points"])):
     """Simple closed polygon with rational vertices, stored counterclockwise.
 
     Polygon(vertices) takes each coordinate as Fraction() does.
@@ -146,21 +141,24 @@ class Polygon:
     built from them when first read.
     """
 
-    scale: int
-    points: tuple
+    def __new__(cls, vertices):
+        return cls._hold([_as_point(p) for p in vertices])
 
-    def __init__(self, vertices):
-        self._hold([_as_point(p) for p in vertices])
-
-    def _hold(self, rationals):
-        """Scale the points whose coordinates are rationals in lowest terms
-        (a Fraction, an int or a parsed Ratio) to integer points, validate
-        them and hold them counterclockwise."""
+    @classmethod
+    def _hold(cls, rationals):
+        """The polygon of the points whose coordinates are rationals in
+        lowest terms (a Fraction, an int or a parsed Ratio): scaled to
+        integer points, validated and held counterclockwise."""
         scale, pts = _integer_points(rationals)
         if _validate_simple(pts) < 0:
             pts.reverse()
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "points", tuple(pts))
+        return super().__new__(cls, scale, tuple(pts))
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the vertices
+        return (self.vertices,)
+
+    def __setattr__(self, name, value):  # no __slots__: __dict__ caches the vertices
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def vertices(self):
@@ -373,6 +371,4 @@ def polygon_from_text(text):
             points.append((parse_ratio(tokens[0]), parse_ratio(tokens[1])))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    poly = Polygon.__new__(Polygon)  # the Ratios are scaled as parsed, no Fraction built
-    poly._hold(points)
-    return poly
+    return Polygon._hold(points)  # the Ratios are scaled as parsed, no Fraction built

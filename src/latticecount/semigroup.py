@@ -12,27 +12,27 @@ plus Popoviciu's formula for the denumerant (the number of representations
 of c as x*a + y*b with x, y >= 0), which lives in the kernel.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 
 from .kernel import denumerant, floor_sum
 
 
-@dataclass(frozen=True)
-class TwoGenSemigroup:
-    a: int
-    b: int
-    frobenius: int = field(init=False)
-    genus: int = field(init=False)
+class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b", "frobenius", "genus"])):
+    """The semigroup <a, b>, built from its generators; frobenius and genus
+    are computed from them."""
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    __slots__ = ()
+
+    def __new__(cls, a, b):
         if a < 1 or b < 1:
             raise ValueError(f"generators must be >= 1, got ({a}, {b})")
         if gcd(a, b) != 1:
             raise ValueError(f"generators must be coprime, got ({a}, {b})")
-        object.__setattr__(self, "frobenius", a * b - a - b)
-        object.__setattr__(self, "genus", (a - 1) * (b - 1) // 2)
+        return super().__new__(cls, a, b, a * b - a - b, (a - 1) * (b - 1) // 2)
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the generators
+        return self.a, self.b
 
     def apery(self, s):
         """Apery set with respect to a generator s, as a list indexed by

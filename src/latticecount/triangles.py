@@ -11,7 +11,7 @@ integers by _integer_points (scale L, X = L*x).  The orientation
 predicates are in polygons, their only user.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -46,17 +46,16 @@ def _span(lo, hi, L):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(namedtuple("Segment", ["p", "q"])):
     """Closed segment between two rational points; p == q is allowed and
     denotes a single point."""
 
-    p: tuple
-    q: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _as_point(self.p))
-        object.__setattr__(self, "q", _as_point(self.q))
+    def __new__(cls, p, q):
+        return super().__new__(cls, _as_point(p), _as_point(q))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace converts too
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +82,7 @@ LEG_Y = "leg_y"
 _BOUNDARY_PARTS = frozenset((HYPOTENUSE, LEG_X, LEG_Y))
 
 
-@dataclass(frozen=True)
-class StableRightTriangle:
+class StableRightTriangle(namedtuple("StableRightTriangle", ["corner", "x_vertex", "y_vertex"])):
     """Right triangle with legs parallel to the axes.
 
     corner is the right-angle vertex; x_vertex shares its y coordinate
@@ -92,16 +90,16 @@ class StableRightTriangle:
     leg).  Degenerate triangles (zero-length legs) are allowed.
     """
 
-    corner: tuple
-    x_vertex: tuple
-    y_vertex: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "corner", _as_point(self.corner))
-        object.__setattr__(self, "x_vertex", _as_point(self.x_vertex))
-        object.__setattr__(self, "y_vertex", _as_point(self.y_vertex))
+    def __new__(cls, corner, x_vertex, y_vertex):
+        self = super().__new__(cls, _as_point(corner), _as_point(x_vertex),
+                               _as_point(y_vertex))
         if self.x_vertex[1] != self.corner[1] or self.y_vertex[0] != self.corner[0]:
             raise ValueError("legs must be parallel to the coordinate axes")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace converts and checks too
 
     @property
     def vertices(self):

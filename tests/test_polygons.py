@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -16,7 +18,7 @@ from corpus import (
     rand_triangle_any,
     random_simple_polygon,
 )
-from latticecount import polygons
+from latticecount import TwoGenSemigroup, polygons, quadrant_blocks
 from latticecount.oracle import brute_polygon, brute_triangle
 from latticecount.polygons import (
     CASE_DEGENERATE,
@@ -756,3 +758,22 @@ def test_polygon_holds_its_points():
     for name in ("scale", "points", "vertices"):
         with pytest.raises(AttributeError):
             setattr(poly, name, None)
+
+
+def test_shapes_copy_and_replace_through_their_constructors():
+    """Copies and pickle round trips are equal instances of the same class,
+    and a shape's _replace converts and checks its new fields as its
+    constructor does."""
+    values = [Polygon(((0, 0), (0, F(3, 2)), (F(4, 3), 1))), Triangle((0, 0), (4, 1), (1, 3)),
+              Segment((0, 0), (F(1, 2), 3)), StableRightTriangle((0, 0), (3, 0), (0, 2)),
+              TwoGenSemigroup(3, 7), quadrant_blocks(3, 7, 46)]
+    for value in values:
+        for twin in copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)):
+            assert type(twin) is type(value) and twin == value
+    t = StableRightTriangle((0, 0), (3, 0), (0, 2))
+    assert t._replace(x_vertex=("7/2", 0)) == StableRightTriangle((0, 0), (F(7, 2), 0), (0, 2))
+    assert {type(c) for p in t._replace(corner=(0, 0)) for c in p} == {Fraction}
+    with pytest.raises(ValueError, match="legs must be parallel"):
+        t._replace(x_vertex=(3, 1))
+    assert Segment((0, 0), (1, 1))._replace(q=("1/2", 2)).q == (F(1, 2), 2)
+    assert Triangle((0, 0), (1, 0), (0, 1))._replace(v3=(0.5, 1)).v3 == (F(1, 2), 1)

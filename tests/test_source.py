@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,3 +66,17 @@ def test_kernel_imports_nothing_from_the_package():
                     and node.name in KERNEL_FUNCTIONS):
                 defined.setdefault(node.name, []).append(path.name)
     assert defined == {name: ["kernel.py"] for name in KERNEL_FUNCTIONS}, defined
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Every CLI call pays for the package's imports.  In a fresh
+    interpreter, import latticecount.cli loads neither dataclasses nor
+    inspect, which would add about 15 ms to it (inspect brings ast, dis
+    and tokenize).  Modules the interpreter loads before the import do
+    not count."""
+    code = ("import sys; before = set(sys.modules); import latticecount.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n", result.stdout

@@ -87,6 +87,32 @@ def test_floor_sum_large_arguments():
         assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
 
 
+def test_floor_sum_over_a_full_period_at_300_digits():
+    """For gcd(a, m) = 1 the residues (a*i + b) mod m, 0 <= i < m, run over
+    0..m-1 once, so floor_sum(m, m, a, b) = (a - 1)*(m - 1)/2 + b: an
+    identity checked with no enumeration, on 300-digit m and signed
+    50-digit a and b."""
+    rng = random.Random(4043)
+    for _ in range(30):
+        m = rng.randrange(10**299, 10**300)
+        a, b = (rng.randrange(-10**50, 10**50) for _ in range(2))
+        while gcd(a, m) != 1:
+            a += 1
+        assert floor_sum(m, m, a, b) == (a - 1) * (m - 1) // 2 + b, (m, a, b)
+
+
+def test_floor_sum_splits_its_range_at_300_digits():
+    """The first n1 + n2 terms are the first n1 and then n2 terms that
+    start at i = n1, where a*(i + n1) + b = a*i + (b + a*n1); n, m, a and
+    b of up to 300 digits, a and b signed."""
+    rng = random.Random(4044)
+    for _ in range(30):
+        n1, n2, m = (rng.randrange(1, 10**rng.randint(1, 300)) for _ in range(3))
+        a, b = (rng.randrange(-10**300, 10**300) for _ in range(2))
+        assert (floor_sum(n1 + n2, m, a, b)
+                == floor_sum(n1, m, a, b) + floor_sum(n2, m, a, b + a * n1)), (n1, n2, m, a, b)
+
+
 @pytest.mark.parametrize("n, m", [(-1, 5), (3, 0), (3, -2)])
 def test_floor_sum_rejects_bad_range(n, m):
     with pytest.raises(ValueError):
@@ -285,13 +311,14 @@ def test_segment_count_makes_one_lift_and_no_quadrant_count(monkeypatch, p, q):
     StableRightTriangle built for the lift."""
     calls = []
     lift, quadrant = triangles._corner_lift, triangles.quadrant_count
-    post_init = triangles.StableRightTriangle.__post_init__
+    new = triangles.StableRightTriangle.__new__
     monkeypatch.setattr(triangles, "_corner_lift",
                         lambda *args: calls.append("lift") or lift(*args))
     monkeypatch.setattr(triangles, "quadrant_count",
                         lambda *args: calls.append("quadrant") or quadrant(*args))
-    monkeypatch.setattr(triangles.StableRightTriangle, "__post_init__",
-                        lambda self: calls.append("triangle") or post_init(self))
+    monkeypatch.setattr(triangles.StableRightTriangle, "__new__",
+                        lambda cls, *args, **kwargs: calls.append("triangle")
+                        or new(cls, *args, **kwargs))
     assert segment_count(Segment(p, q)) == brute_segment(Segment(p, q))
     assert calls == ["lift"]
 

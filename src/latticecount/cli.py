@@ -359,8 +359,6 @@ def run(argv, out=None, err=None):
     is written to out and err (default: the process streams).  Inputs and
     counts of any length convert: the interpreter's int <-> str digit
     limit is lifted for the call, and the caller's limit restored."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
-        return _run(argv, out, err)
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -7,9 +7,7 @@ with three edges, and a degenerate one is its segment hull.
 triangle_case names the bounding-box case of a triangle, for reports
 and tests; the count does not depend on it.
 
-A Polygon is scaled once, at construction, and holds its scale and
-counterclockwise integer points, which validation, edge_sum and
-pick_audit read; its Fraction vertices are built only when read.
+A Polygon holds its scale and counterclockwise integer points.
 polygon_from_text parses each token straight to an integer pair, so a
 polygon file is parsed, validated and counted with no Fraction built.
 
@@ -17,15 +15,13 @@ A polygon is validated on its scaled vertices in one pass that decides
 and names: the first overlapping pair of adjacent edges, else the pair
 of touching edges where a Shamos-Hoey sweep stops.  The sweep makes
 O(n log n) orientation tests and at most 3n touch tests, valid or not,
-but each insert, del and index on its list status is O(n): combs of 10k
-to 80k vertices validate in 0.30 to 11.2 s, and an 8,005-vertex invalid
-comb is rejected in 0.04 to 0.09 s (Python 3.11.7, shared 2-vCPU
-host).  A Pick's-theorem audit is provided for integral-vertex polygons.
+but each insert, del and index on its list status is O(n), so a comb
+validates in O(n^2) time (spot readings in ROADMAP.md).  A Pick's-theorem
+audit is provided for integral-vertex polygons.
 """
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from .kernel import floor_sum
@@ -119,13 +115,12 @@ def triangle_count(t):
 
 def signed_area2(vertices):
     """Twice the signed area (shoelace sum); positive for counterclockwise."""
-    total = 0
-    n = len(vertices)
-    for i in range(n):
-        x0, y0 = vertices[i]
-        x1, y1 = vertices[(i + 1) % n]
-        total += x0 * y1 - x1 * y0
-    return total
+    return sum(x0 * y1 - x1 * y0
+               for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def _vertices(scale, points):
+    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in points)
 
 
 class Polygon(namedtuple("Polygon", ["scale", "points"])):
@@ -138,11 +133,15 @@ class Polygon(namedtuple("Polygon", ["scale", "points"])):
     vertex lying on a non-incident edge, overlapping adjacent edges,
     crossing edges, or zero area.  The polygon holds `scale` and its
     counterclockwise `points`; `vertices`, the tuple of Fraction pairs, is
-    built from them when first read.
+    built from them when read.
     """
+
+    __slots__ = ()
 
     def __new__(cls, vertices):
         return cls._hold([_as_point(p) for p in vertices])
+
+    _make = classmethod(lambda cls, fields: cls(_vertices(*fields)))  # _replace validates too
 
     @classmethod
     def _hold(cls, rationals):
@@ -157,13 +156,7 @@ class Polygon(namedtuple("Polygon", ["scale", "points"])):
     def __getnewargs__(self):  # copy and pickle rebuild from the vertices
         return (self.vertices,)
 
-    def __setattr__(self, name, value):  # no __slots__: __dict__ caches the vertices
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    @cached_property
-    def vertices(self):
-        L = self.scale
-        return tuple((Fraction(x, L), Fraction(y, L)) for x, y in self.points)
+    vertices = property(lambda self: _vertices(*self))
 
     def __repr__(self):
         return f"Polygon(vertices={self.vertices!r})"
@@ -252,10 +245,8 @@ def _validate_simple(pts):
     Adjacent edges u-v, v-w overlap exactly when they are collinear and w
     folds back towards u; the message names the first such pair of edges
     i-j by (i, j).  Otherwise no other pair of edges may touch at all,
-    which _sweep_touches decides with O(n log n) orientation tests and at
-    most 3n touch tests, though each operation on its list status is O(n);
-    the message names the touching pair it stops at, i < j.  A triangle
-    has no such pair.
+    which _sweep_touches decides; the message names the touching pair it
+    stops at, i < j.  A triangle has no such pair.
     """
     n = len(pts)
     if n < 3:
@@ -346,9 +337,8 @@ def pick_audit(p):
     """
     L, pts = p.scale, p.points
     if L != 1:  # the lcm of the denominators: some vertex is not integral
-        x, y = next(pt for pt in pts if pt[0] % L or pt[1] % L)
-        raise ValueError(f"pick_audit requires integral vertices, "
-                         f"got ({Fraction(x, L)}, {Fraction(y, L)})")
+        x, y = next(v for v in p.vertices if v[0].denominator * v[1].denominator > 1)
+        raise ValueError(f"pick_audit requires integral vertices, got ({x}, {y})")
     area = Fraction(abs(signed_area2(pts)), 2)
     boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
     interior = sum(_edge_terms(L, pts)) - boundary

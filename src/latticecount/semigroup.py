@@ -34,6 +34,17 @@ class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b", "frobenius", "gen
     def __getnewargs__(self):  # copy and pickle rebuild from the generators
         return self.a, self.b
 
+    @classmethod
+    def _make(cls, fields):  # _replace too: rebuilt from a and b, the other fields checked
+        a, b, *derived = fields
+        if (self := cls(a, b))[2:] != tuple(derived):
+            raise ValueError(f"<{a}, {b}> has frobenius and genus {self[2:]}, got {tuple(derived)}")
+        return self
+
+    def _replace(self, **changes):  # frobenius and genus follow a and b unless given
+        fresh = type(self)(changes.get("a", self.a), changes.get("b", self.b))
+        return super(TwoGenSemigroup, fresh)._replace(**changes)
+
     def apery(self, s):
         """Apery set with respect to a generator s, as a list indexed by
         residue: entry i is the least semigroup element congruent to i mod s."""

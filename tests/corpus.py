@@ -244,15 +244,9 @@ def random_simple_polygon(rng, n, integral=True, span=SPAN, max_tries=500):
     raise RuntimeError(f"could not generate a simple polygon with {n} vertices")
 
 
-HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # Python >= 3.10.7
-
-
 @contextmanager
 def no_digit_limit():
     """Lift the interpreter's int <-> str digit limit, as cli.run does."""
-    if not HAS_DIGIT_LIMIT:
-        yield
-        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import HAS_DIGIT_LIMIT, no_digit_limit
+from corpus import no_digit_limit
 from latticecount import cli, oracle, polygons, tetra
 from latticecount.triangles import quadrant_count, rect_count
 
@@ -704,7 +704,6 @@ def test_rect_input_past_the_digit_limit(capsys):
     assert json.loads(out)["count"] == _unlimited_str(rect_count((0, 0), (x1, 1)))
 
 
-@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int digit limit before Python 3.10.7")
 @pytest.mark.parametrize("argv", [["thr", "3", "7", "9" * 2200], ["thr", "3", "7", "x"]])
 def test_run_restores_the_callers_digit_limit(capsys, argv):
     limit = sys.get_int_max_str_digits()

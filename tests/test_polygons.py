@@ -751,7 +751,7 @@ def test_polygon_holds_its_points():
     poly = Polygon(((0, 0), (0, F(3, 2)), (F(4, 3), 1)))  # clockwise
     assert (poly.scale, poly.points) == (6, ((8, 6), (0, 9), (0, 0)))
     assert poly.vertices == ((F(4, 3), 1), (0, F(3, 2)), (0, 0))
-    assert poly.vertices is poly.vertices
+    assert poly.vertices == poly.vertices
     assert repr(poly) == ("Polygon(vertices=((Fraction(4, 3), Fraction(1, 1)), "
                           "(Fraction(0, 1), Fraction(3, 2)), (Fraction(0, 1), Fraction(0, 1))))")
     assert Polygon(poly.vertices) == poly and hash(Polygon(poly.vertices)) == hash(poly)
@@ -762,8 +762,8 @@ def test_polygon_holds_its_points():
 
 def test_shapes_copy_and_replace_through_their_constructors():
     """Copies and pickle round trips are equal instances of the same class,
-    and a shape's _replace converts and checks its new fields as its
-    constructor does."""
+    and the _replace of a shape or a semigroup converts and checks its new
+    fields as its constructor does."""
     values = [Polygon(((0, 0), (0, F(3, 2)), (F(4, 3), 1))), Triangle((0, 0), (4, 1), (1, 3)),
               Segment((0, 0), (F(1, 2), 3)), StableRightTriangle((0, 0), (3, 0), (0, 2)),
               TwoGenSemigroup(3, 7), quadrant_blocks(3, 7, 46)]
@@ -777,3 +777,13 @@ def test_shapes_copy_and_replace_through_their_constructors():
         t._replace(x_vertex=(3, 1))
     assert Segment((0, 0), (1, 1))._replace(q=("1/2", 2)).q == (F(1, 2), 2)
     assert Triangle((0, 0), (1, 0), (0, 1))._replace(v3=(0.5, 1)).v3 == (F(1, 2), 1)
+    poly = Polygon(((0, 0), (2, 0), (0, 2)))
+    assert poly._replace(scale=2) == Polygon(((0, 0), (1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="not simple"):
+        poly._replace(points=((0, 0), (2, 2), (2, 0), (0, 2)))  # a bowtie
+    s = TwoGenSemigroup(3, 7)
+    assert s._replace(b=8) == TwoGenSemigroup(3, 8) and s._replace(genus=6) == s
+    assert TwoGenSemigroup._make((3, 7, 11, 6)) == s
+    for changes in {"b": 9}, {"frobenius": 5}, {"b": 8, "genus": 6}:
+        with pytest.raises(ValueError):
+            s._replace(**changes)

@@ -2,11 +2,14 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "latticecount"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "latticecount"
 
 
 def test_src_has_no_assert():
@@ -80,3 +83,32 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n", result.stdout
+
+
+def test_one_python_floor():
+    """pyproject's requires-python names the oldest interpreter of the CI
+    matrix, and the README's install section states the same floor."""
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    floor = re.fullmatch(r">=(3\.\d+)", pyproject["project"]["requires-python"])[1]
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    matrix = re.findall(r'"(3\.\d+)"', re.search(r"python-version: \[(.*)\]", workflow)[1])
+    assert min(matrix, key=lambda v: int(v.split(".")[1])) == floor, matrix
+    readme = (ROOT / "README.md").read_text()
+    assert re.findall(r"\((3\.\d+) or\s+later\)", readme) == [floor]
+
+
+def test_src_has_no_version_branch():
+    """The package runs one code path on every supported interpreter: no
+    module in src/ tests sys.version_info or hasattr(sys, ...)."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no sources under {SRC}"
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if "version_info" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                found.append(f"{path.name}:{node.lineno}: version_info")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "hasattr" and node.args
+                  and isinstance(node.args[0], ast.Name) and node.args[0].id == "sys"):
+                found.append(f"{path.name}:{node.lineno}: hasattr(sys, ...)")
+    assert not found, f"interpreter version branches in src/: {found}"

@@ -1,11 +1,14 @@
 """Naive brute-force counters used as ground truth.
 
 Every counter here enumerates lattice points of a bounding region and
-tests membership with plain comparisons and exact rational sign tests,
-except quadrant_count_floor_form, which sums the quadrant count's partial
-strip one column at a time.  Nothing in this module shares code with the
-closed-form counters; that independence is what makes the equivalence
-tests meaningful.
+tests membership with plain comparisons and exact sign tests, except
+quadrant_count_floor_form, which sums the quadrant count's partial strip
+one column at a time.  The planar counters turn their points into
+Fractions once and scale them by the lcm L of all their denominators;
+each cell (x, y) of the box then costs O(edges) integer sign tests on
+(x*L, y*L), with no Fraction built per cell.  Nothing in this module
+shares code with the closed-form counters; that independence is what
+makes the equivalence tests meaningful.
 
 Enumeration refuses regions with more cells than a budget (a named
 constant, overridable per call and from the CLI) so that accidental huge
@@ -13,7 +16,7 @@ inputs fail fast instead of spinning.
 """
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
@@ -32,6 +35,15 @@ def _check_budget(cells, budget):
 def _pt(p):
     x, y = p
     return (Fraction(x), Fraction(y))
+
+
+def _scaled(points):
+    """(L, integer points): the Fraction points times the lcm L of all
+    their denominators.  Scaling by L > 0 keeps the sign of every cross
+    product and comparison, so a cell (x, y) is tested as (x*L, y*L)."""
+    scale = lcm(*(c.denominator for p in points for c in p))
+    return scale, [(x.numerator * (scale // x.denominator),
+                    y.numerator * (scale // y.denominator)) for x, y in points]
 
 
 def _cross(o, a, b):
@@ -100,24 +112,17 @@ def brute_rect(lo, hi, budget=DEFAULT_CELL_BUDGET):
     """Count integral points of a closed axis-aligned rectangle by scanning."""
     lo, hi = _pt(lo), _pt(hi)
     xr, yr = _box_ranges([lo, hi], budget)
-    count = 0
-    for x in xr:
-        for y in yr:
-            if lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]:
-                count += 1
-    return count
+    scale, ((x0, y0), (x1, y1)) = _scaled([lo, hi])
+    return sum(1 for x in xr for y in yr
+               if x0 <= x * scale <= x1 and y0 <= y * scale <= y1)
 
 
 def brute_segment(seg, budget=DEFAULT_CELL_BUDGET):
     """Count integral points on a closed segment by scanning its box."""
     p, q = _pt(seg.p), _pt(seg.q)
     xr, yr = _box_ranges([p, q], budget)
-    count = 0
-    for x in xr:
-        for y in yr:
-            if _on_segment((Fraction(x), Fraction(y)), p, q):
-                count += 1
-    return count
+    scale, (p, q) = _scaled([p, q])
+    return sum(1 for x in xr for y in yr if _on_segment((x * scale, y * scale), p, q))
 
 
 def brute_triangle(t, include_boundary=True, exclude_segments=(),
@@ -129,28 +134,21 @@ def brute_triangle(t, include_boundary=True, exclude_segments=(),
     exclude_segments removes the points lying on any of the given
     segments from the (closed) count.
     """
-    v1, v2, v3 = (_pt(v) for v in t.vertices)
-    xr, yr = _box_ranges([v1, v2, v3], budget)
-    orient = _cross(v1, v2, v3)
-    excl = [(_pt(s.p), _pt(s.q)) for s in exclude_segments]
+    verts = [_pt(v) for v in t.vertices]
+    xr, yr = _box_ranges(verts, budget)
+    scale, pts = _scaled(verts + [_pt(e) for s in exclude_segments for e in (s.p, s.q)])
+    edges = list(zip(pts[:3], pts[1:3] + pts[:1]))
+    excl = list(zip(pts[3::2], pts[4::2]))
+    orient = _cross(*pts[:3])
     count = 0
     for x in xr:
         for y in yr:
-            p = (Fraction(x), Fraction(y))
+            p = (x * scale, y * scale)
             if orient == 0:
-                inside = include_boundary and (
-                    _on_segment(p, v1, v2)
-                    or _on_segment(p, v2, v3)
-                    or _on_segment(p, v3, v1)
-                )
+                inside = include_boundary and any(_on_segment(p, a, b) for a, b in edges)
             else:
-                s1 = _cross(v1, v2, p) * orient
-                s2 = _cross(v2, v3, p) * orient
-                s3 = _cross(v3, v1, p) * orient
-                if include_boundary:
-                    inside = s1 >= 0 and s2 >= 0 and s3 >= 0
-                else:
-                    inside = s1 > 0 and s2 > 0 and s3 > 0
+                least = min(_cross(a, b, p) * orient for a, b in edges)
+                inside = least >= 0 if include_boundary else least > 0
             if inside and not any(_on_segment(p, a, b) for a, b in excl):
                 count += 1
     return count
@@ -160,29 +158,27 @@ def brute_polygon(p, include_boundary=True, budget=DEFAULT_CELL_BUDGET):
     """Count integral points of a closed simple polygon by scanning its box.
 
     Points on an edge are detected exactly; other points are classified by
-    ray-crossing parity with exact rational comparisons.
+    ray-crossing parity.  An edge u -> v straddling the cell's row crosses
+    the rightward ray when the cell lies to its left going up, or to its
+    right going down: a cross product's sign, not the crossing's abscissa.
     """
     verts = [_pt(v) for v in p.vertices]
-    n = len(verts)
     xr, yr = _box_ranges(verts, budget)
+    scale, pts = _scaled(verts)
+    edges = list(zip(pts, pts[1:] + pts[:1]))
     count = 0
     for x in xr:
         for y in yr:
-            pt = (Fraction(x), Fraction(y))
-            on_edge = any(
-                _on_segment(pt, verts[i], verts[(i + 1) % n]) for i in range(n)
-            )
-            if on_edge:
+            pt = (x * scale, y * scale)
+            if any(_on_segment(pt, u, v) for u, v in edges):
                 if include_boundary:
                     count += 1
                 continue
             crossings = 0
-            for i in range(n):
-                u, v = verts[i], verts[(i + 1) % n]
-                if (u[1] > pt[1]) != (v[1] > pt[1]):
-                    x_int = u[0] + (pt[1] - u[1]) * (v[0] - u[0]) / (v[1] - u[1])
-                    if x_int > pt[0]:
-                        crossings ^= 1
+            for u, v in edges:
+                if ((u[1] > pt[1]) != (v[1] > pt[1])
+                        and (_cross(u, v, pt) > 0) == (v[1] > u[1])):
+                    crossings ^= 1
             count += crossings
     return count
 

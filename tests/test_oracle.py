@@ -1,9 +1,12 @@
+import math
 import random
+from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 
 from latticecount import oracle
-from latticecount.polygons import Polygon, Triangle
+from latticecount.polygons import Polygon, Triangle, polygon_count, triangle_count
 from latticecount.triangles import Segment
 
 
@@ -77,3 +80,216 @@ def test_brute_semigroup_helpers():
     assert oracle.brute_contains(3, 7, 12)
     assert not oracle.brute_contains(3, 7, 11)
     assert oracle.brute_count_upto(3, 7, 11) == 6
+
+
+# --- the integer oracle against the Fraction reference ----------------------
+# The four planar counters as they were before they scaled their points to
+# integers: each cell becomes a pair of Fractions and every membership test
+# is Fraction arithmetic, with the ray crossing's abscissa computed by a
+# division.  They share no helper with oracle.py.
+
+
+def _ref_pt(p):
+    x, y = p
+    return (Fraction(x), Fraction(y))
+
+
+def _ref_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _ref_on_segment(p, a, b):
+    if _ref_cross(a, b, p) != 0:
+        return False
+    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+
+def _ref_cells(points):
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return [(Fraction(x), Fraction(y))
+            for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)
+            for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1)]
+
+
+def reference_rect(lo, hi):
+    lo, hi = _ref_pt(lo), _ref_pt(hi)
+    return sum(1 for x, y in _ref_cells([lo, hi])
+               if lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1])
+
+
+def reference_segment(seg):
+    p, q = _ref_pt(seg.p), _ref_pt(seg.q)
+    return sum(1 for c in _ref_cells([p, q]) if _ref_on_segment(c, p, q))
+
+
+def reference_triangle(t, include_boundary=True, exclude_segments=()):
+    v1, v2, v3 = (_ref_pt(v) for v in t.vertices)
+    orient = _ref_cross(v1, v2, v3)
+    excl = [(_ref_pt(s.p), _ref_pt(s.q)) for s in exclude_segments]
+    count = 0
+    for p in _ref_cells([v1, v2, v3]):
+        if orient == 0:
+            inside = include_boundary and (_ref_on_segment(p, v1, v2)
+                                           or _ref_on_segment(p, v2, v3)
+                                           or _ref_on_segment(p, v3, v1))
+        else:
+            s1 = _ref_cross(v1, v2, p) * orient
+            s2 = _ref_cross(v2, v3, p) * orient
+            s3 = _ref_cross(v3, v1, p) * orient
+            if include_boundary:
+                inside = s1 >= 0 and s2 >= 0 and s3 >= 0
+            else:
+                inside = s1 > 0 and s2 > 0 and s3 > 0
+        if inside and not any(_ref_on_segment(p, a, b) for a, b in excl):
+            count += 1
+    return count
+
+
+def reference_polygon(poly, include_boundary=True):
+    verts = [_ref_pt(v) for v in poly.vertices]
+    n = len(verts)
+    count = 0
+    for pt in _ref_cells(verts):
+        if any(_ref_on_segment(pt, verts[i], verts[(i + 1) % n]) for i in range(n)):
+            count += include_boundary
+            continue
+        crossings = 0
+        for i in range(n):
+            u, v = verts[i], verts[(i + 1) % n]
+            if (u[1] > pt[1]) != (v[1] > pt[1]):
+                x_int = u[0] + (pt[1] - u[1]) * (v[0] - u[0]) / (v[1] - u[1])
+                if x_int > pt[0]:
+                    crossings ^= 1
+        count += crossings
+    return count
+
+
+# the bench reference's shapes: any object with .vertices, and .p/.q on segments
+_Shape = namedtuple("_Shape", "vertices")
+_Seg = namedtuple("_Seg", "p q")
+
+
+def _rational(rng, span=5, max_den=12):
+    den = rng.randint(1, max_den)
+    return Fraction(rng.randint(-span * den, span * den), den)
+
+
+def _point(rng, max_den=12):
+    return (_rational(rng, max_den=max_den), _rational(rng, max_den=max_den))
+
+
+def _between(u, v, t):
+    return (u[0] + t * (v[0] - u[0]), u[1] + t * (v[1] - u[1]))
+
+
+def _as_given(rng, point):
+    """The point with each coordinate as an int, a string or a Fraction:
+    every one of them is something Fraction() accepts."""
+    return tuple(rng.choice([c, str(c)] + [int(c)] * (c.denominator == 1)) for c in point)
+
+
+def _triangle_vertices(rng, kind):
+    if kind == "lattice":
+        return [_point(rng, max_den=1) for _ in range(3)]
+    if kind == "general":
+        return [_point(rng) for _ in range(3)]
+    a, b = _point(rng), _point(rng)
+    if kind == "point":
+        return [a, a, a]
+    t = rng.choice([Fraction(0), Fraction(1), Fraction(rng.randint(-12, 24), 12)])
+    return rng.sample([a, b, _between(a, b, t)], 3)  # collinear
+
+
+def _segment_through_a_lattice_point(rng):
+    """Endpoints with denominators of their own, on a lattice line."""
+    g = (rng.randint(-4, 4), rng.randint(-4, 4))
+    h = (g[0] + rng.randint(-2, 2), g[1] + rng.randint(-2, 2))
+    s, t = (Fraction(rng.randint(1, 24), rng.randint(1, 12)) for _ in range(2))
+    return [_between(g, h, -s), _between(g, h, t)]
+
+
+def _exclusion(rng, verts):
+    """A triangle edge, either way round, or a segment of its own."""
+    if rng.random() < 0.5:
+        i = rng.randrange(3)
+        return rng.sample([verts[i], verts[(i + 1) % 3]], 2)
+    return _segment_through_a_lattice_point(rng)
+
+
+def _polygon_with_collinear_vertices(rng):
+    """A star-shaped polygon around a rational centre, with vertices added
+    on some of its edges (a repeated vertex among them)."""
+    den = rng.choice([1, 1, rng.randint(2, 12)])
+    centre = _point(rng, max_den=1)
+    angles = sorted(rng.sample(range(0, 360, 15), rng.randint(3, 8)))
+    verts = []
+    for a in angles:
+        r = rng.uniform(1, 4)
+        verts.append(tuple(Fraction(round((c + r * f(math.radians(a))) * den), den)
+                           for c, f in zip(centre, (math.cos, math.sin))))
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(verts))
+        t = Fraction(rng.randint(0, 12), 12)
+        verts.insert(i + 1, _between(verts[i], verts[(i + 1) % len(verts)], t))
+    return verts
+
+
+def test_integer_oracle_matches_the_fraction_reference():
+    rng = random.Random(23)
+    for _ in range(150):
+        lo, hi = (_as_given(rng, _point(rng)) for _ in range(2))
+        assert oracle.brute_rect(lo, hi) == reference_rect(lo, hi)
+        seg = _Seg(*_segment_through_a_lattice_point(rng))
+        assert oracle.brute_segment(seg) == reference_segment(seg)
+        seg = Segment(_as_given(rng, seg.p), _as_given(rng, seg.q))
+        assert oracle.brute_segment(seg) == reference_segment(seg)
+    for i in range(300):
+        verts = _triangle_vertices(rng, ("general", "lattice", "collinear", "point")[i % 4])
+        excl = [_exclusion(rng, verts) for _ in range(rng.randint(0, 3))]
+        if i % 2:
+            shape = _Shape(tuple(_as_given(rng, v) for v in verts))
+            segs = [_Seg(*(_as_given(rng, e) for e in pq)) for pq in excl]
+        else:
+            shape, segs = Triangle(*verts), [Segment(*pq) for pq in excl]
+        for include_boundary in (True, False):
+            assert (oracle.brute_triangle(shape, include_boundary)
+                    == reference_triangle(shape, include_boundary)), shape
+        assert (oracle.brute_triangle(shape, exclude_segments=segs)
+                == reference_triangle(shape, exclude_segments=segs)), (shape, segs)
+    for i in range(120):
+        verts = _polygon_with_collinear_vertices(rng)
+        shape = _Shape(tuple(_as_given(rng, v) for v in verts))
+        if i % 2:
+            try:
+                shape = Polygon(verts)
+            except ValueError:  # a repeated vertex, or not simple after rounding
+                pass
+        for include_boundary in (True, False):
+            assert (oracle.brute_polygon(shape, include_boundary)
+                    == reference_polygon(shape, include_boundary)), shape
+
+
+def test_planar_oracles_build_fractions_per_vertex_not_per_cell(monkeypatch):
+    """A triangle and a polygon of more than 10^4 cells each build at most
+    two Fractions per vertex: the cells are tested on integers."""
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(oracle, "Fraction", counting_fraction)
+    tri = Triangle((0, 0), (150, Fraction(1, 3)), (Fraction(7, 2), 100))
+    poly = Polygon(((0, 0), (Fraction(241, 2), 0), (120, 50), (60, Fraction(301, 3)),
+                    (Fraction(-1, 5), 100), (0, 50)))
+    for shape, count, brute in ((tri, triangle_count(tri), oracle.brute_triangle),
+                                (poly, polygon_count(poly), oracle.brute_polygon)):
+        xs, ys = zip(*shape.vertices)
+        cells = ((math.floor(max(xs)) - math.ceil(min(xs)) + 1)
+                 * (math.floor(max(ys)) - math.ceil(min(ys)) + 1))
+        assert cells >= 10**4
+        built.clear()
+        assert brute(shape) == count
+        assert 0 < len(built) <= 2 * len(shape.vertices)

@@ -48,19 +48,25 @@ KERNEL_FUNCTIONS = ("floor_sum", "_floor_sums2", "full_strips", "quadrant_count"
                     "_popoviciu_residues", "denumerant")
 
 
-def test_kernel_imports_nothing_from_the_package():
-    """kernel.py is the bottom layer: no relative import and no latticecount
-    import, and each kernel function is defined at module level in
-    kernel.py alone (TwoGenSemigroup.denumerant is a method)."""
-    tree = ast.parse((SRC / "kernel.py").read_text(), filename="kernel.py")
+def _package_imports(name):
+    """file:line of every relative or latticecount import in src/<name>."""
+    tree = ast.parse((SRC / name).read_text(), filename=name)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level or (node.module or "").split(".")[0] == "latticecount":
-                found.append(f"kernel.py:{node.lineno}")
+                found.append(f"{name}:{node.lineno}")
         elif isinstance(node, ast.Import):
-            found += [f"kernel.py:{node.lineno}" for alias in node.names
+            found += [f"{name}:{node.lineno}" for alias in node.names
                       if alias.name.split(".")[0] == "latticecount"]
+    return found
+
+
+def test_kernel_imports_nothing_from_the_package():
+    """kernel.py is the bottom layer: no relative import and no latticecount
+    import, and each kernel function is defined at module level in
+    kernel.py alone (TwoGenSemigroup.denumerant is a method)."""
+    found = _package_imports("kernel.py")
     assert not found, f"package imports in kernel.py: {found}"
     defined = {}
     for path in sorted(SRC.glob("*.py")):
@@ -69,6 +75,15 @@ def test_kernel_imports_nothing_from_the_package():
                     and node.name in KERNEL_FUNCTIONS):
                 defined.setdefault(node.name, []).append(path.name)
     assert defined == {name: ["kernel.py"] for name in KERNEL_FUNCTIONS}, defined
+
+
+def test_oracle_imports_nothing_from_the_package():
+    """The brute-force oracle is the correctness anchor of the closed forms,
+    so it borrows none of their code: no relative import and no
+    latticecount import in oracle.py (its scaling to integers is its own,
+    not triangles._integer_points)."""
+    found = _package_imports("oracle.py")
+    assert not found, f"package imports in oracle.py: {found}"
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():

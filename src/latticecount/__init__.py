@@ -5,8 +5,11 @@ All arithmetic is exact: every count runs on unbounded ints, on the
 rational input points scaled to integers.  A Polygon is scaled once, at
 construction; a polygon file parses to integer pairs and is counted with
 no Fraction built.  Every counter has an
-independent brute-force twin in latticecount.oracle.
+independent brute-force twin in latticecount.oracle, which is imported
+when it is first read, not with the package.
 """
+
+import importlib
 
 from .kernel import BlockTrace, floor_sum, quadrant_blocks, quadrant_count
 from .rationals import format_rational, parse_rational
@@ -40,7 +43,6 @@ from .polygons import (
     triangle_count,
 )
 from .tetra import denumerant3, tetra_count, tetra_slice_counts
-from . import oracle
 
 __version__ = "0.1.0"
 
@@ -83,3 +85,11 @@ __all__ = [
     "oracle",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """latticecount.oracle, imported on first use: only --check runs it, so
+    import latticecount.cli does not compile it."""
+    if name == "oracle":
+        return importlib.import_module(".oracle", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,22 +7,23 @@ cross-checking (--check).  Every subcommand is one query function,
 listed in one row of the SUBCOMMANDS table; build_parser and run read
 that table and hold no per-subcommand code.
 
+A one-shot call costs mostly the interpreter's start and this module's
+import, so the import loads only what every request runs: the first
+--check imports latticecount.oracle, and the first --json imports json.
+
 Exit codes: 0 success, 1 input error, 2 the brute-force check disagreed
 with the reported count.
 """
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout, suppress
-from json.encoder import encode_basestring_ascii
 from operator import countOf
 
-from . import oracle
 from .kernel import quadrant_blocks, quadrant_count
 from .polygons import (
     Triangle,
@@ -52,8 +53,10 @@ _EXCLUDE_PARTS = {"hyp": HYPOTENUSE, "legx": LEG_X, "legy": LEG_Y}
 TRACE_LIMIT = 10**6
 
 # argparse reads only -N and -N.N as negative numbers, so "-6/5" would be
-# taken for an option; every signed rational form is a positional here.
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+|\d*\.\d+|\d+/\d+)$")
+# taken for an option.  Here every token that starts with "-" and a digit,
+# or "-." and a digit, is a positional, so that its parser names a
+# malformed one ("-1e5") instead of argparse reporting a missing argument.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 class CountReport(namedtuple("CountReport", ["shape", "count", "trace", "oracle", "agreed"],
@@ -79,21 +82,20 @@ def dumps_canonical(obj):
     strings.  A dict is written key by key under that rule; any other
     value, a list of str among them, is written as json.dumps writes it,
     so the output of json.loads round-trips unchanged."""
-    return _dumps(obj)
-
-
-_ENCODE = json.JSONEncoder(separators=(", ", ": ")).encode
+    import json  # loaded by the first --json request, not by import latticecount.cli
+    return _dumps(obj, json)
 
 
 # recursion goes through _dumps, not the module-level name, so that a
 # wrapper of dumps_canonical (bench/tracer.py times it) sees one call
-def _dumps(obj):
+def _dumps(obj, json):
     if type(obj) is dict:
-        return "{%s}" % ", ".join(["%s: %s" % (encode_basestring_ascii(key), _dumps(value))
+        quote = json.encoder.encode_basestring_ascii
+        return "{%s}" % ", ".join(["%s: %s" % (quote(key), _dumps(value, json))
                                    for key, value in obj.items()])
     if _is_int_list(obj):
         return _ints_text(obj, '", "', '["', '"]')
-    return _ENCODE(obj)
+    return json.dumps(obj)
 
 
 def _is_int_list(value):
@@ -166,12 +168,12 @@ def _thr_query(args, a, b, c):
         blocks = quadrant_blocks(a, b, c)
         trace = {"k": blocks.k, "blocks": blocks.block_counts, "tail_terms": blocks.tail_terms}
     return _Query(f"thr({a}, {b}, {c})", count, trace,
-                  lambda budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget))
+                  lambda oracle, budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget))
 
 
 def _rect_query(args, x0, y0, x1, y1):
     return _Query(f"rect({x0}, {y0}, {x1}, {y1})", rect_count((x0, y0), (x1, y1)), None,
-                  lambda budget: oracle.brute_rect((x0, y0), (x1, y1), budget=budget))
+                  lambda oracle, budget: oracle.brute_rect((x0, y0), (x1, y1), budget=budget))
 
 
 def _rtri_query(args, ax, ay, bx, by, cx, cy):
@@ -186,7 +188,7 @@ def _rtri_query(args, ax, ay, bx, by, cx, cy):
         if parts:
             trace["excluded"] = sorted(parts)
     return _Query(f"rtri(A=({ax}, {ay}), B=({bx}, {by}), C=({cx}, {cy}))", count, trace,
-                  lambda budget: oracle.brute_triangle(
+                  lambda oracle, budget: oracle.brute_triangle(
                       tri, exclude_segments=tri.boundary_segments(parts), budget=budget))
 
 
@@ -194,7 +196,7 @@ def _tri_query(args, x1, y1, x2, y2, x3, y3):
     tri = Triangle((x1, y1), (x2, y2), (x3, y3))
     return _Query(f"tri({x1}, {y1}, {x2}, {y2}, {x3}, {y3})", triangle_count(tri),
                   {"case": triangle_case(tri)} if args.trace else None,
-                  lambda budget: oracle.brute_triangle(tri, budget=budget))
+                  lambda oracle, budget: oracle.brute_triangle(tri, budget=budget))
 
 
 def _poly_query(args, poly):
@@ -204,7 +206,7 @@ def _poly_query(args, poly):
     else:
         count, trace = polygon_count(poly), None
     return _Query(f"poly(n={len(poly.points)})", count, trace,
-                  lambda budget: oracle.brute_polygon(poly, budget=budget))
+                  lambda oracle, budget: oracle.brute_polygon(poly, budget=budget))
 
 
 def _tetra_query(args, a1, a2, a3, b):
@@ -216,17 +218,17 @@ def _tetra_query(args, a1, a2, a3, b):
     else:
         count, trace = tetra_count(a1, a2, a3, b), None
     return _Query(f"tetra({a1}, {a2}, {a3}; {b})", count, trace,
-                  lambda budget: oracle.brute_tetra(a1, a2, a3, b, budget=budget))
+                  lambda oracle, budget: oracle.brute_tetra(a1, a2, a3, b, budget=budget))
 
 
 def _denumerant_query(args, a, b, c):
     return _Query(f"denumerant({c}; {a}, {b})", TwoGenSemigroup(a, b).denumerant(c), None,
-                  lambda budget: oracle.brute_denumerant2(a, b, c, budget=budget))
+                  lambda oracle, budget: oracle.brute_denumerant2(a, b, c, budget=budget))
 
 
 def _denumerant3_query(args, a1, a2, a3, n):
     return _Query(f"denumerant({n}; {a1}, {a2}, {a3})", denumerant3(a1, a2, a3, n), None,
-                  lambda budget: oracle.brute_denumerant3(a1, a2, a3, n, budget=budget))
+                  lambda oracle, budget: oracle.brute_denumerant3(a1, a2, a3, n, budget=budget))
 
 
 def _semigroup_options(sp):
@@ -246,7 +248,7 @@ def _semigroup_query(args, a, b):
         _check_trace_size(sg.genus, "--gaps")
         gaps = sg.gaps()
         return _Query(shape + " gaps", len(gaps), {"gaps": gaps},
-                      lambda budget: len(oracle.brute_gaps(a, b, budget=budget)))
+                      lambda oracle, budget: len(oracle.brute_gaps(a, b, budget=budget)))
     if args.apery is not None:
         s = parse_int(args.apery)
         if s in (a, b):  # else apery names the non-generator
@@ -254,18 +256,18 @@ def _semigroup_query(args, a, b):
         ap = sg.apery(s)
         # the count is the set's sum: a checksum that detects any wrong element
         return _Query(shape + f" apery({s})", sum(ap), {"apery": ap},
-                      lambda budget: sum(oracle.brute_apery(a, b, s, budget=budget)))
+                      lambda oracle, budget: sum(oracle.brute_apery(a, b, s, budget=budget)))
     if args.contains is not None:
         n = parse_int(args.contains)
         member = sg.contains(n)
         return _Query(shape + f" contains({n})", int(member), {"contains": member},
-                      lambda budget: int(oracle.brute_contains(a, b, n, budget=budget)))
+                      lambda oracle, budget: int(oracle.brute_contains(a, b, n, budget=budget)))
     if args.upto is not None:
         c = parse_int(args.upto)
         return _Query(shape + f" upto({c})", sg.count_upto(c), None,
-                      lambda budget: oracle.brute_count_upto(a, b, c, budget=budget))
+                      lambda oracle, budget: oracle.brute_count_upto(a, b, c, budget=budget))
     return _Query(shape, sg.genus, {"frobenius": str(sg.frobenius), "genus": str(sg.genus)},
-                  lambda budget: len(oracle.brute_gaps(a, b, budget=budget)))
+                  lambda oracle, budget: len(oracle.brute_gaps(a, b, budget=budget)))
 
 
 def _pick_query(args, poly):
@@ -273,7 +275,7 @@ def _pick_query(args, poly):
     trace = {"area": format_rational(audit.area), "interior": str(audit.interior),
              "boundary": str(audit.boundary), "holds": audit.holds}
     return _Query(f"pick(n={len(poly.points)})", audit.interior + audit.boundary, trace,
-                  lambda budget: oracle.brute_polygon(poly, budget=budget))
+                  lambda oracle, budget: oracle.brute_polygon(poly, budget=budget))
 
 
 # --- the subcommand table --------------------------------------------------
@@ -286,10 +288,10 @@ class Subcommand(namedtuple("Subcommand", ["name", "help", "args", "parse", "que
     `parse` names the function of this module that reads each positional
     in `args`.  `query` is called with the namespace and the parsed
     positionals; it returns the shape, the count, the trace (None unless
-    shown) and the oracle, a function of the cell budget.  The queries
-    look library and oracle functions up when they run, not at import, so
-    patching a module global reaches them.  `options` adds the
-    subcommand's own flags to its parser.
+    shown) and the oracle, a function of the oracle module and the cell
+    budget.  The queries look library and oracle functions up when they
+    run, not at import, so patching a module global reaches them.
+    `options` adds the subcommand's own flags to its parser.
     """
 
     __slots__ = ()
@@ -339,8 +341,8 @@ def build_parser():
                         help="include the decomposition trace")
     common.add_argument("--check", action="store_true",
                         help="cross-check against the brute-force oracle")
-    common.add_argument("--oracle-budget", type=int, default=oracle.DEFAULT_CELL_BUDGET,
-                        metavar="N", help="cell budget for the brute-force oracle")
+    common.add_argument("--oracle-budget", type=int, metavar="N",
+                        help="cell budget for the brute-force oracle")
     sub = parser.add_subparsers(dest="command", required=True)
     for row in SUBCOMMANDS:
         sp = sub.add_parser(row.name, parents=[common], help=row.help)
@@ -396,15 +398,18 @@ def _run(argv, out, err):
         written = (_write(help_out.getvalue(), out, err, "the help")
                    and _write(help_err.getvalue(), err, err, "the usage message"))
         return 0 if written and exc.code in (0, None) else 1
-    row = args.row
+    row, budget = args.row, args.oracle_budget
     try:
-        if args.oracle_budget < 0:
-            raise ValueError(f"--oracle-budget must be at least 0, got {args.oracle_budget}")
+        if budget is not None and budget < 0:
+            raise ValueError(f"--oracle-budget must be at least 0, got {budget}")
         parse = globals()[row.parse]
         query = row.query(args, *(parse(getattr(args, name)) for name in row.args))
         report = CountReport(query.shape, query.count, query.trace)
         if args.check:
-            brute = query.oracle(args.oracle_budget)
+            from . import oracle  # loaded by the first --check, not by import latticecount.cli
+            if budget is None:
+                budget = oracle.DEFAULT_CELL_BUDGET
+            brute = query.oracle(oracle, budget)
             report = report._replace(oracle=brute, agreed=report.count == brute)
     except (ValueError, OSError) as exc:
         _write(f"error: {exc}", err, err, "the error message", end="\n")

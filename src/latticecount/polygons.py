@@ -348,9 +348,10 @@ def pick_audit(p):
 
 def polygon_from_text(text):
     """Parse the polygon file format: one "x y" pair per line, rationals in
-    the usual text form, '#' starting a comment line, blank lines skipped."""
+    the usual text form, '#' starting a comment line, blank lines skipped.
+    One leading byte-order mark (U+FEFF), as some editors write, is ignored."""
     points = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,9 +1,10 @@
 """The text format of exact integers and rationals.
 
-A rational token parses once, by parse_ratio, to its Ratio: the numerator
-and denominator in lowest terms, denominator positive.  Shapes other than
-polygons keep their input as fractions.Fraction (parse_rational, the
-Fraction of that pair); a polygon keeps only its points scaled to
+A rational token parses once to its numerator and denominator, and is
+reduced once: parse_ratio reduces them to its Ratio, in lowest terms with
+the denominator positive, and parse_rational hands them to
+fractions.Fraction, which reduces them itself.  Shapes other than
+polygons keep their input as Fractions; a polygon keeps only its points scaled to
 integers, so a poly request parses, validates and counts with no Fraction
 built.  Each count scales its shape's points by the lcm of their
 denominators, once, and runs on Python's unbounded ints.  No floating
@@ -33,6 +34,14 @@ def parse_ratio(text):
     Decimal strings stay exact: "3.5" -> (7, 2).  Anything else, including
     a zero denominator, raises ValueError naming the offending token.
     """
+    num, den = _ratio_terms(text)
+    g = gcd(num, den)
+    return Ratio(num // g, den // g)
+
+
+def _ratio_terms(text):
+    """The signed numerator and positive denominator a rational token
+    writes, not yet reduced, with parse_ratio's error messages."""
     token = text.strip()
     match = _RATIONAL_RE.fullmatch(token)
     if match is None:
@@ -46,14 +55,14 @@ def parse_ratio(text):
         den = int(denominator)
         if den == 0:
             raise ValueError(f"zero denominator in {token!r}")
-    g = gcd(num, den)
-    return Ratio((-num if sign == "-" else num) // g, den // g)
+    return (-num if sign == "-" else num), den
 
 
 def parse_rational(text):
     """Parse "p/q", "p" or "d.ddd" (optional sign) into an exact Fraction:
-    the Fraction of parse_ratio's pair, with its error messages."""
-    return Fraction(*parse_ratio(text))
+    the Fraction of parse_ratio's pair, with its error messages.  The
+    Fraction reduces the token's own terms, so the pair is reduced once."""
+    return Fraction(*_ratio_terms(text))
 
 
 def parse_int(text):

@@ -38,6 +38,12 @@ def rand_point(rng):
     return (rand_rational(rng), rand_rational(rng))
 
 
+def rand_rational_300(rng):
+    """A signed rational with a numerator of up to 300 digits over a
+    denominator of at most 10**6, for the invariants past the oracle."""
+    return Fraction(rng.randrange(-10**300, 10**300), rng.randint(1, 10**6))
+
+
 def _distinct_sorted(rng, count):
     vals = set()
     while len(vals) < count:

@@ -134,6 +134,25 @@ def test_poly_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert code == 0 and json.loads(out.strip())["count"] == "16"
 
 
+def test_polygon_text_may_start_with_a_byte_order_mark(capsys, tmp_path, monkeypatch):
+    """A file saved as UTF-8 with a byte-order mark reads as the same polygon,
+    from a file and from stdin; only one leading mark is ignored."""
+    text = "0 0\n4 1\n1 3\n"
+    path = tmp_path / "bom.poly"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run_cli(capsys, "poly", str(path)) == (0, "poly(n=3): 8\n", "")
+    assert run_cli(capsys, "pick", str(path), "--json") == (0, (
+        '{"shape": "pick(n=3)", "count": "8", "trace": {"area": "11/2", "interior": "5", '
+        '"boundary": "3", "holds": true}}\n'), "")
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+    assert run_cli(capsys, "poly", "-") == (0, "poly(n=3): 8\n", "")
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff\ufeff" + text))
+    assert run_cli(capsys, "poly", "-") == (
+        1, "", "error: line 1: malformed rational '\\ufeff0'\n")
+
+
 def test_poly_missing_file(capsys):
     code, _, err = run_cli(capsys, "poly", "/no/such/file.poly")
     assert code == 1 and "file.poly" in err
@@ -378,6 +397,41 @@ def test_negative_oracle_budget_is_an_input_error(capsys, argv):
         1, "", "error: --oracle-budget must be at least 0, got -5\n")
 
 
+def test_default_oracle_budget(capsys, monkeypatch):
+    """Without --oracle-budget, --check gives the oracle its default budget
+    of 10**7 cells."""
+    budgets = []
+    real = oracle.brute_halfplane_quadrant
+
+    def spy(a, b, c, budget):
+        budgets.append(budget)
+        return real(a, b, c, budget=budget)
+
+    monkeypatch.setattr(oracle, "brute_halfplane_quadrant", spy)
+    assert run_cli(capsys, "thr", "3", "7", "46", "--check")[0] == 0
+    assert budgets == [oracle.DEFAULT_CELL_BUDGET] == [10**7]
+
+
+def test_deferred_imports_load_with_the_first_request_that_runs_them():
+    """In a fresh process a plain request loads neither the oracle nor json;
+    --check loads the oracle and --json loads json, and one request with
+    both prints the same bytes as in a warm process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import io, sys; from latticecount import cli\n"
+             "for line in ('tri 0 0 4 1 1 3', 'thr 3 7 46 --check', 'thr 3 7 46 --json'):\n"
+             "    cli.run(line.split(), io.StringIO())\n"
+             "    print(sorted({'json', 'latticecount.oracle'} & set(sys.modules)))\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == [
+        "[]", "['latticecount.oracle']", "['json', 'latticecount.oracle']"]
+    result = subprocess.run([sys.executable, "-m", "latticecount.cli",
+                             "thr", "3", "7", "46", "--json", "--check"],
+                            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, (
+        '{"shape": "thr(3, 7, 46)", "count": "63", "oracle": "63", "agreed": true}\n'), "")
+
+
 @pytest.mark.parametrize("argv", [
     ["denumerant", "3", "7", "46"],
     ["denumerant3", "3", "5", "7", "10"],
@@ -588,6 +642,9 @@ INPUT_ERRORS = [
     "thr 1 2",
     "thr 1 1 10 --check --oracle-budget -5",
     "",
+    "tri -1e5 0 1 1 2 0",
+    "rect -1. 0 1 1",
+    "thr 3 7 -1e3",
 ]
 
 
@@ -650,6 +707,24 @@ def test_rtri_with_negative_fractions(capsys):
     assert code == 0
     assert out == ("rtri(A=(-1/2, -3/2), B=(-1/2, 5), C=(7/3, -3/2)): 9\n"
                    "  oracle: 9 (agreed)\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tri -1e5 0 1 1 2 0", "malformed rational '-1e5'"),
+    ("rect -1. 0 1 1", "malformed rational '-1.'"),
+    ("thr 3 7 -1e3", "malformed integer '-1e3'"),
+    ("rect 1e5 0 1 1", "malformed rational '1e5'"),
+])
+def test_malformed_negative_number_is_named(capsys, line, message):
+    """A token that starts with "-" and a digit is a positional, so its
+    parser names it when it is malformed, as it does the unsigned token."""
+    assert run_cli(capsys, *line.split()) == (1, "", f"error: {message}\n")
+
+
+def test_dash_and_a_letter_is_still_an_option(capsys):
+    code, out, err = run_cli(capsys, "rect", "-x", "0", "1", "1")
+    assert (code, out) == (1, "")
+    assert err.endswith("error: the following arguments are required: y1\n")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["rect", "--help"]])

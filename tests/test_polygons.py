@@ -14,6 +14,7 @@ from corpus import (
     CASE_GENERATORS,
     apply_symmetry,
     rand_point,
+    rand_rational_300,
     rand_tri_degenerate,
     rand_triangle_any,
     random_simple_polygon,
@@ -199,6 +200,31 @@ def test_triangle_count_is_additive_over_a_split(pts, t):
     assert triangle_count(Triangle(a, b, c)) == (triangle_count(Triangle(a, b, p))
                                                  + triangle_count(Triangle(a, p, c))
                                                  - segment_count(Segment(a, p)))
+
+
+def test_triangle_count_is_unimodular_invariant_at_300_digits():
+    rng = random.Random(4046)
+    kinds = ("shear_x", "shear_y", "swap", "reflect")
+    for _ in range(30):
+        pts = [(rand_rational_300(rng), rand_rational_300(rng)) for _ in range(3)]
+        steps = [(rng.choice(kinds), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))]
+        shift = (rng.randrange(-10**300, 10**300), rng.randrange(-10**300, 10**300))
+        moved = _unimodular(pts, steps, shift)
+        assert triangle_count(Triangle(*moved)) == triangle_count(Triangle(*pts)), (pts, steps)
+
+
+def test_triangle_count_is_additive_over_a_split_at_300_digits():
+    """As test_triangle_count_is_additive_over_a_split, with 300-digit
+    coordinates and P at a ratio n/(n + m) along BC, n, m <= 10**6."""
+    rng = random.Random(4047)
+    for _ in range(30):
+        a, b, c = ((rand_rational_300(rng), rand_rational_300(rng)) for _ in range(3))
+        t = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        t /= 1 + t
+        p = (b[0] + t * (c[0] - b[0]), b[1] + t * (c[1] - b[1]))
+        assert triangle_count(Triangle(a, b, c)) == (triangle_count(Triangle(a, b, p))
+                                                     + triangle_count(Triangle(a, p, c))
+                                                     - segment_count(Segment(a, p))), (a, b, c, t)
 
 
 def _bounding_box_rule(t):

@@ -123,3 +123,21 @@ def test_parse_ratio_agrees_with_the_fraction_parser(token):
 ])
 def test_parse_ratio_examples(token, pair):
     assert parse_ratio(token) == pair
+
+
+def test_parse_rational_reduces_each_token_once(monkeypatch):
+    """parse_rational hands the token's own terms to Fraction, which reduces
+    them; it does not reduce them first with parse_ratio's gcd."""
+    from latticecount import rationals
+
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(rationals, "gcd", counting_gcd)
+    for token, value in (("-12/8", Fraction(-3, 2)), ("2.50", Fraction(5, 2)), ("7", 7)):
+        assert parse_rational(token) == value
+    assert calls == []
+    assert parse_ratio("-12/8") == (-3, 2) and len(calls) == 1

@@ -86,18 +86,36 @@ def test_oracle_imports_nothing_from_the_package():
     assert not found, f"package imports in oracle.py: {found}"
 
 
+def _fresh(code):
+    """The standard output of code run in a fresh interpreter on src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Every CLI call pays for the package's imports.  In a fresh
     interpreter, import latticecount.cli loads neither dataclasses nor
     inspect, which would add about 15 ms to it (inspect brings ast, dis
-    and tokenize).  Modules the interpreter loads before the import do
+    and tokenize).  Nor does it load what only some requests run: the
+    oracle, which the first --check imports, and json, which the first
+    --json imports.  Modules the interpreter loads before the import do
     not count."""
     code = ("import sys; before = set(sys.modules); import latticecount.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout == "[]\n", result.stdout
+            "print(sorted({'dataclasses', 'inspect', 'json', 'latticecount.oracle'}"
+            " & (set(sys.modules) - before)))")
+    assert _fresh(code) == "[]\n"
+
+
+def test_oracle_loads_on_first_use():
+    """latticecount.oracle is imported when it is first read, by attribute,
+    by from-import or by a star import, and is one module each way."""
+    code = ("import sys, latticecount; print('latticecount.oracle' in sys.modules); "
+            "print(latticecount.oracle.brute_denumerant2(3, 7, 46)); "
+            "from latticecount import oracle; from latticecount import *; "
+            "print(oracle is latticecount.oracle is sys.modules['latticecount.oracle']); "
+            "print(hasattr(latticecount, 'no_such_name'))")
+    assert _fresh(code) == "False\n2\nTrue\nFalse\n"
 
 
 def test_one_python_floor():

@@ -68,6 +68,16 @@ def test_consecutive_difference_is_denumerant():
             assert d == tetra_count(a1, a2, a3, n) - tetra_count(a1, a2, a3, n - 1)
 
 
+def test_consecutive_difference_is_denumerant_at_1000_digits():
+    """tetra(b) - tetra(b - 1) counts the points on the face at b, which is
+    denumerant3(b): both closed forms at a bound of 10**3 digits."""
+    rng = random.Random(4048)
+    for a1, a2, a3 in [(6, 10, 15), (3, 5, 7), (4, 6, 9)]:
+        b = rng.randrange(10**999, 10**1000)
+        assert (tetra_count(a1, a2, a3, b) - tetra_count(a1, a2, a3, b - 1)
+                == denumerant3(a1, a2, a3, b)), (a1, a2, a3)
+
+
 def test_single_slice_matches_reduced_planar_count():
     for a1, a2, b in [(2, 3, 25), (6, 10, 48), (4, 6, 30)]:
         big = b + 1  # third generator too large to allow any x3 > 0

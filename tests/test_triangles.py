@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import rand_gcd_shift_instance, rand_point, rand_stable_right
+from corpus import rand_gcd_shift_instance, rand_point, rand_rational_300, rand_stable_right
 from latticecount import triangles
 from latticecount.kernel import BlockTrace, floor_sum, full_strips, quadrant_blocks
 from latticecount.oracle import (
@@ -111,6 +111,37 @@ def test_floor_sum_splits_its_range_at_300_digits():
         a, b = (rng.randrange(-10**300, 10**300) for _ in range(2))
         assert (floor_sum(n1 + n2, m, a, b)
                 == floor_sum(n1, m, a, b) + floor_sum(n2, m, a, b + a * n1)), (n1, n2, m, a, b)
+
+
+def _tiling_identity(x0, y0, x1, y1):
+    """Each diagonal of the rectangle [x0, x1] x [y0, y1] cuts it into two
+    closed stable right triangles that share only that diagonal, so their
+    counts sum to the rectangle's plus the diagonal's: quadrant_count and
+    denumerant checked against each other and against rect_count."""
+    rect = rect_count((x0, y0), (x1, y1))
+    for (cx, cy), (dx, dy) in (((x0, y0), (x1, y1)), ((x1, y0), (x0, y1))):
+        first = StableRightTriangle(corner=(cx, cy), x_vertex=(dx, cy), y_vertex=(cx, dy))
+        second = StableRightTriangle(corner=(dx, dy), x_vertex=(cx, dy), y_vertex=(dx, cy))
+        diagonal = segment_count(Segment((dx, cy), (cx, dy)))
+        assert stable_right_count(first) + stable_right_count(second) == rect + diagonal
+    return rect, diagonal
+
+
+def test_two_stable_right_triangles_tile_a_rectangle_at_300_digits():
+    rng = random.Random(4045)
+    for _ in range(30):
+        (x0, x1), (y0, y1) = (sorted((rand_rational_300(rng), rand_rational_300(rng)))
+                              for _ in range(2))
+        _tiling_identity(x0, y0, x1, y1)
+
+
+def test_tiling_of_an_integer_rectangle_whose_diagonal_holds_2e300_points():
+    """Sides 6*10**300 and 14*10**300: each diagonal holds
+    gcd(6, 14)*10**300 + 1 = 2*10**300 + 1 lattice points."""
+    e = 10**300
+    rect, diagonal = _tiling_identity(-5, 11, 6 * e - 5, 14 * e + 11)
+    assert rect == (6 * e + 1) * (14 * e + 1)
+    assert diagonal == 2 * e + 1
 
 
 @pytest.mark.parametrize("n, m", [(-1, 5), (3, 0), (3, -2)])

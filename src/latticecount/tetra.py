@@ -13,24 +13,24 @@ Two routes give the same count.
 
 Slicing (tetra_slice_counts, shown by tetra --trace).  Slice i has the
 bound c_i = (b - s*i)//d; with c = k*p*q + r, 0 <= r < p*q, its count is
-a closed form in k plus a value that depends on the residue r alone:
+the k full strips in closed form plus a value of the residue r alone:
 
-    S(i) = Q(c_i) = (the k full strips of the quadrant count) + Q(r).
+    S(i) = Q(c_i) = (c - r)*(c + r + p + q + 1)/(2*p*q) + Q(r),
 
-The residues are periodic, as Ehrhart theory predicts for the slices of
-a rational polytope (Beck and Robins, ch. 3): with
-T = d*p*q / gcd(s, d*p*q), slice i + T has the residue of slice i and
-K = s*T / (d*p*q) fewer full strips.  The Q(r) cancel, so
-
-    S(i + T) - S(i) = -full_strips(p, q, K, c_i) = -(K*c_i + E),
-    E = K*(p + q + 1 - p*q*K)/2,
-
-and that difference grows by K*K*p*q from one period to the next; the
-same holds for any multiple of T.  So of the n = b//s + 1 slices, the
-kernel runs once per distinct residue of one row, a multiple of T and
-at least isqrt(n) wide, and each later row is two element-wise
-additions: at most min(T + isqrt(n), p*q) kernel calls, and O(n)
-additions made by map rather than by a Python step each.
+a quadratic in c plus a function of c mod p*q, as Ehrhart theory
+predicts for the slices of a rational polytope (Beck and Robins, ch. 3).
+With g = gcd(s, d), the slices i = j*stride + t of one class t modulo
+stride = d/g have the bounds c_t - sigma*j, sigma = s/g, since
+s*stride = d*sigma.  Along a class the second difference of the square
+is the constant 2*sigma^2, that of the linear term is 0, and c mod p*q
+repeats with period P = p*q / gcd(sigma, p*q); so the second differences
+of S along a class repeat with period P.  The kernel gives each class
+its first P + 2 slices, one call per distinct residue, and the rest of
+the class is two running sums over its cycled P second differences.
+The classes interleave with period T = stride*P = d*p*q / gcd(s, d*p*q),
+and the P + 2 first slices of a class meet only P residues: at most
+min(T, p*q) kernel calls, and O(n) additions for the n = b//s + 1
+slices, made by itertools.accumulate rather than by a Python step each.
 
 Closed form (tetra_count, denumerant3).  Popoviciu's formula
 (kernel.denumerant), with p' = p^-1 mod q and q' = q^-1 mod p, reads
@@ -51,9 +51,8 @@ progression, on which each residue term is (A*j + B) mod p (mod q): two
 floor_sum calls in all.
 """
 
-from itertools import repeat
-from math import gcd, isqrt
-from operator import add, mod
+from itertools import accumulate, cycle, islice
+from math import gcd
 
 from .kernel import _floor_sums2, _popoviciu_residues, floor_sum, full_strips, quadrant_count
 
@@ -75,33 +74,34 @@ def tetra_slice_counts(a1, a2, a3, b):
     """Per-slice lattice counts, slicing x3' = 0, 1, ... along the largest
     generator; empty for b < 0.
 
-    The slices come in rows of width slices, width the smallest multiple
-    of the period that is at least isqrt(slices).  The first row costs one
-    kernel call per distinct residue modulo p*q in it; every later row is
-    the row above plus a row of differences, which itself grows by a
-    constant (module docstring).
+    Each class of slices modulo stride = d/gcd(s, d) is its first P + 2
+    slices, one kernel call per distinct residue modulo p*q among them,
+    then two accumulates over its second differences, which repeat with
+    period P (module docstring).  Classes interleave by slice assignment.
     """
     p, q, s, d = _reduce(a1, a2, a3)
     if b < 0:
         return []
     n = b // s + 1
     pq = p * q
-    period = d * pq // gcd(s, d * pq)
-    width = min(-(-isqrt(n) // period) * period, n)
-    bounds = [c // d for c in range(b, b - s * width, -s)]
-    tails = dict.fromkeys(map(mod, bounds, repeat(pq)))  # Q(r) by residue r
+    g = gcd(s, d)
+    stride, period = d // g, pq // gcd(s // g, pq)
+    classes = [range(t, n, stride) for t in range(min(stride, n))]  # slice indices
+    heads = [[(b - s * i) // d for i in slices[:period + 2]] for slices in classes]
+    tails = dict.fromkeys(c % pq for bounds in heads for c in bounds)  # Q(r) by residue r
     for r in tails:
         tails[r] = quadrant_count(p, q, r)
-    out = row = [full_strips(p, q, c // pq, c) + tails[c % pq] for c in bounds]
-    if width < n:
-        k = s * width // (d * pq)  # a slice has k full strips more than the one a row below
-        diffs = [-full_strips(p, q, k, c) for c in bounds[:n - width]]  # shorter when one row is left
-        grow = repeat(k * k * pq)
-        for _ in range((n - 1) // width):
-            row = list(map(add, row, diffs))
-            out += row
-            diffs = list(map(add, diffs, grow))
-        del out[n:]
+    out = [0] * n if stride > 1 else None
+    for slices, bounds in zip(classes, heads):
+        counts = [full_strips(p, q, c // pq, c) + tails[c % pq] for c in bounds]
+        m = len(slices)
+        if m > len(counts):  # the second differences d2 repeat with period P
+            d2 = [x - 2 * y + z for x, y, z in zip(counts, counts[1:], counts[2:])]
+            d1 = accumulate(islice(cycle(d2), m - 2), initial=counts[1] - counts[0])
+            counts = list(accumulate(d1, initial=counts[0]))
+        if out is None:
+            return counts
+        out[slices.start::stride] = counts
     return out
 
 

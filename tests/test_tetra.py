@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from itertools import permutations
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 import pytest
 
@@ -118,36 +118,43 @@ def test_slices_are_reduced_quadrant_counts(gens):
         assert tetra_slice_counts(*gens, b) == expected, b
 
 
-def _period_and_width(gens, b):
-    """(T, W) of tetra_slice_counts: the period of the slice residues and
-    the width of a row, the smallest multiple of T that is at least
-    isqrt(n), capped at the number of slices n."""
+def _class_period(gens):
+    """(stride, P, T) of tetra_slice_counts: the slices of one class modulo
+    stride have bounds falling by sigma = s/gcd(s, d), their second
+    differences repeat with period P, and the classes with T = stride*P."""
     p, q, s, d = _reduce(*gens)
-    n = max(0, b // s + 1)
-    period = d * p * q // gcd(s, d * p * q)
-    return period, min(-(-isqrt(n) // period) * period, n)
+    stride, sigma = d // gcd(s, d), s // gcd(s, d)
+    period = p * q // gcd(sigma, p * q)
+    return stride, period, stride * period
 
 
 def test_slice_rows_against_the_slice_definition():
-    """The row recurrence gives each slice its own kernel count, in every
-    regime of the period T, the row width W and the slice count n."""
+    """Each class of slices, its head from the kernel and the rest from
+    its periodic second differences, gives each slice its own kernel
+    count, in every regime of the class period P, the period T and the
+    slice count n: in particular class lengths m = P + 1, P + 2 and P + 3,
+    where the head ends and the running sums take over."""
     rng = random.Random(60)
-    seen = dict.fromkeys(("n < T", "T <= n < 2T", "n = k*W", "n = k*W + 1", "gcd(s, d) > 1",
-                          "repeated residues", "b < s", "b < 0", "(1, 1, 1)"), 0)
+    seen = dict.fromkeys(("n < T", "T <= n < 2T", "stride > 1", "m = P + 1", "m = P + 2",
+                          "m = P + 3", "gcd(s, d) > 1", "repeated residues", "b < s", "b < 0",
+                          "(1, 1, 1)"), 0)
     for case in range(1500):
         gens = [1, 1, 1] if case % 50 == 0 else [rng.randint(1, 60) for _ in range(3)]
         p, q, s, d = _reduce(*gens)
-        period, _ = _period_and_width(gens, 0)
-        rows = rng.randint(1, 3) * period
-        n = rng.choice([rows - 1, rows, rows + 1, rng.randint(1, 3 * period + 300), 1, 0])
+        stride, P, T = _class_period(gens)
+        periods = rng.randint(1, 3) * T
+        head = stride * (P + rng.randint(0, 2)) + 1 + rng.randrange(stride)  # m = P + 1..3
+        n = rng.choice([periods - 1, periods, periods + 1, head, head,
+                        rng.randint(1, 3 * T + 300), 1, 0])
         b = s * (n - 1) + rng.randrange(s)
         expected = [quadrant_count(p, q, (b - s * i) // d) for i in range(n)]
         assert tetra_slice_counts(*gens, b) == expected, (gens, b)
-        _, width = _period_and_width(gens, b)
-        seen["n < T"] += 0 < n < period
-        seen["T <= n < 2T"] += period <= n < 2 * period
-        seen["n = k*W"] += n >= 2 * width > 0 and n % width == 0
-        seen["n = k*W + 1"] += n > width > 0 and n % width == 1
+        lengths = {len(range(t, n, stride)) for t in range(stride)}
+        seen["n < T"] += 0 < n < T
+        seen["T <= n < 2T"] += T <= n < 2 * T
+        seen["stride > 1"] += stride > 1 and n > stride
+        for k in (1, 2, 3):
+            seen[f"m = P + {k}"] += P + k in lengths
         seen["gcd(s, d) > 1"] += gcd(s, d) > 1
         seen["repeated residues"] += gcd(s, d * p * q) < d and n > 1
         seen["b < s"] += 0 <= b < s
@@ -158,22 +165,25 @@ def test_slice_rows_against_the_slice_definition():
 
 @pytest.mark.parametrize("gens, b", [
     ((5, 7, 12), 12 * 10**6 - 1),
+    ((4, 6, 7), 7 * 10**6 - 1),  # stride 2, P = 6
     ((4, 6, 7), 7 * 600 - 1),  # T = 12, each residue twice per period
     ((100, 102, 10301), 10301 * 5100 - 1),  # n = T = 5100, each residue twice
-], ids=["10**6 slices", "rows of two periods", "one period"])
+], ids=["10**6 slices", "10**6 slices, stride 2", "rows of two periods", "one period"])
 def test_slice_rows_bound_the_kernel_calls(monkeypatch, gens, b):
-    """At most T + isqrt(n) kernel calls, one row's worth, and never more
-    than one per residue class modulo p*q."""
+    """At most min(T, p*q) kernel calls: the P + 2 first slices of a class
+    meet only P residues, and no residue modulo p*q is counted twice."""
     calls = []
     kernel = tetra.quadrant_count
     monkeypatch.setattr(tetra, "quadrant_count", lambda *args: calls.append(args) or kernel(*args))
     slices = tetra_slice_counts(*gens, b)
     p, q, s, d = _reduce(*gens)
     n = b // s + 1
-    period, _ = _period_and_width(gens, b)
+    _, _, T = _class_period(gens)
     assert len(slices) == n
-    assert 0 < len(calls) <= min(period + isqrt(n), p * q), len(calls)
+    assert 0 < len(calls) <= min(T, p * q), len(calls)
+    assert len(set(calls)) == len(calls)
     assert slices[-1] == quadrant_count(p, q, (b - s * (n - 1)) // d)
+    assert slices[-2] == quadrant_count(p, q, (b - s * (n - 2)) // d)
 
 
 def test_million_slice_trace_sums_to_the_count():

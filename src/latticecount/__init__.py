@@ -2,11 +2,11 @@
 stable right tetrahedra, built on two-generator numerical semigroups.
 
 All arithmetic is exact: every count runs on unbounded ints, on the
-rational input points scaled to integers.  A Polygon is scaled once, at
-construction; a polygon file parses to integer pairs and is counted with
-no Fraction built.  Every counter has an
-independent brute-force twin in latticecount.oracle, which is imported
-when it is first read, not with the package.
+rational input points scaled to integers.  Every shape is scaled once, at
+construction, and holds its integer points; its Fraction vertices are
+built only when read.  Every counter has an independent brute-force twin
+in latticecount.oracle, which is imported when it is first read, not
+with the package.
 """
 
 import importlib

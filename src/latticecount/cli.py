@@ -34,13 +34,14 @@ from .polygons import (
     triangle_case,
     triangle_count,
 )
-from .rationals import format_rational, parse_int, parse_rational
+from .rationals import format_rational, parse_int, parse_ratio
 from .semigroup import TwoGenSemigroup
 from .tetra import denumerant3, tetra_count, tetra_slice_counts
 from .triangles import (
     HYPOTENUSE,
     LEG_X,
     LEG_Y,
+    Segment,
     StableRightTriangle,
     rect_count,
     stable_right_count,
@@ -173,7 +174,8 @@ def _thr_query(args, a, b, c):
 
 def _rect_query(args, x0, y0, x1, y1):
     return _Query(f"rect({x0}, {y0}, {x1}, {y1})", rect_count((x0, y0), (x1, y1)), None,
-                  lambda oracle, budget: oracle.brute_rect((x0, y0), (x1, y1), budget=budget))
+                  lambda oracle, budget: oracle.brute_rect(
+                      *Segment((x0, y0), (x1, y1)).vertices, budget=budget))
 
 
 def _rtri_query(args, ax, ay, bx, by, cx, cy):
@@ -181,7 +183,7 @@ def _rtri_query(args, ax, ay, bx, by, cx, cy):
     parts = _parse_exclude(args.exclude)
     count, trace = stable_right_count(tri, exclude=parts), None
     if args.trace:
-        kind, data = stable_right_reduction(tri)
+        kind, data = stable_right_reduction(tri, parts)
         trace = {"reduction": kind}
         if kind == "quadrant":
             trace.update(zip("abc", map(str, data)))
@@ -301,16 +303,16 @@ SUBCOMMANDS = (
     Subcommand("thr", "count a*x + b*y <= c over x, y >= 0 (a, b coprime)",
                ("a", "b", "c"), "parse_int", _thr_query),
     Subcommand("rect", "count a stable rectangle",
-               ("x0", "y0", "x1", "y1"), "parse_rational", _rect_query),
+               ("x0", "y0", "x1", "y1"), "parse_ratio", _rect_query),
     Subcommand("rtri",
                "count a stable right triangle (A right angle, B above/below A, C beside A)",
-               ("ax", "ay", "bx", "by", "cx", "cy"), "parse_rational", _rtri_query,
+               ("ax", "ay", "bx", "by", "cx", "cy"), "parse_ratio", _rtri_query,
                options=lambda sp: sp.add_argument(
                    "--exclude", action="append", metavar="PART",
                    help="boundary parts to exclude: hyp, legx, legy "
                    "(repeatable, comma-separated)")),
     Subcommand("tri", "count a general triangle",
-               ("x1", "y1", "x2", "y2", "x3", "y3"), "parse_rational", _tri_query),
+               ("x1", "y1", "x2", "y2", "x3", "y3"), "parse_ratio", _tri_query),
     Subcommand("poly", "count a simple polygon read from FILE or - (stdin)",
                ("file",), "_read_polygon", _poly_query),
     Subcommand("tetra", "count a1*x1 + a2*x2 + a3*x3 <= b over xi >= 0",

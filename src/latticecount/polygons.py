@@ -7,7 +7,8 @@ with three edges, and a degenerate one is its segment hull.
 triangle_case names the bounding-box case of a triangle, for reports
 and tests; the count does not depend on it.
 
-A Polygon holds its scale and counterclockwise integer points.
+A Polygon, like every shape, holds its scale and integer points,
+counterclockwise, and builds its Fraction vertices only when read.
 polygon_from_text parses each token straight to an integer pair, so a
 polygon file is parsed, validated and counted with no Fraction built.
 
@@ -21,12 +22,11 @@ audit is provided for integral-vertex polygons.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
 from .kernel import floor_sum
 from .rationals import parse_ratio
-from .triangles import Segment, _as_point, _integer_points, segment_count
+from .triangles import _Scaled, _vertex, segment_count
 
 
 def _cross(o, a, b):
@@ -54,17 +54,12 @@ TRIANGLE_CASES = (
 )
 
 
-class Triangle(namedtuple("Triangle", ["v1", "v2", "v3"])):
+class Triangle(_Scaled):
+    """Closed triangle with rational vertices v1, v2 and v3."""
+
     __slots__ = ()
-
-    def __new__(cls, v1, v2, v3):
-        return super().__new__(cls, _as_point(v1), _as_point(v2), _as_point(v3))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace converts too
-
-    @property
-    def vertices(self):
-        return (self.v1, self.v2, self.v3)
+    __new__ = lambda cls, v1, v2, v3: cls._hold((v1, v2, v3))
+    v1, v2, v3 = map(_vertex, range(3))
 
 
 def triangle_case(t):
@@ -75,7 +70,7 @@ def triangle_case(t):
     at opposite corners for two_opposite_corners, one for one_corner.
     These are the cases of the paper's bounding-box rule; triangle_count
     counts every case the same way.  A degenerate triangle is its own case."""
-    _, v = _integer_points(t.vertices)
+    v = t.points
     if _cross(*v) == 0:
         return CASE_DEGENERATE
     xs, ys = zip(*v)
@@ -96,15 +91,15 @@ def triangle_case(t):
 def triangle_count(t):
     """Integral points in a closed triangle with rational vertices.
 
-    Counts on the vertices scaled to integer points.  Degenerate
-    (collinear) input counts the points of its segment hull.  Otherwise the
-    three vertices form a simple polygon, counted like any other by the
-    terms of edge_sum, taken counterclockwise.
+    Counts on the triangle's integer points.  Degenerate (collinear) input
+    counts the points of its segment hull, as segment_count reads it.
+    Otherwise the three points form a simple polygon, counted like any
+    other by the terms of edge_sum, taken counterclockwise.
     """
-    L, v = _integer_points(t.vertices)
+    L, v = t
     turn = _cross(*v)
     if turn == 0:
-        return segment_count(Segment(min(t.vertices), max(t.vertices)))
+        return segment_count((L, (min(v), max(v))))
     return sum(_edge_terms(L, v if turn > 0 else v[::-1]))
 
 
@@ -119,47 +114,24 @@ def signed_area2(vertices):
                for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]))
 
 
-def _vertices(scale, points):
-    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in points)
+class Polygon(_Scaled):
+    """Simple closed polygon with rational vertices, held as a shape is,
+    its integer points counterclockwise.
 
-
-class Polygon(namedtuple("Polygon", ["scale", "points"])):
-    """Simple closed polygon with rational vertices, stored counterclockwise.
-
-    Polygon(vertices) takes each coordinate as Fraction() does.
-    Construction scales the vertices once to integer points: `scale`, the
-    lcm of their denominators, times each vertex.  It rejects anything that
-    is not strictly simple: fewer than three vertices, repeated vertices, a
-    vertex lying on a non-incident edge, overlapping adjacent edges,
-    crossing edges, or zero area.  The polygon holds `scale` and its
-    counterclockwise `points`; `vertices`, the tuple of Fraction pairs, is
-    built from them when read.
+    Polygon(vertices) rejects anything that is not strictly simple: fewer
+    than three vertices, repeated vertices, a vertex lying on a
+    non-incident edge, overlapping adjacent edges, crossing edges, or zero
+    area.
     """
 
     __slots__ = ()
+    __new__ = lambda cls, vertices: cls._hold(vertices)
 
-    def __new__(cls, vertices):
-        return cls._hold([_as_point(p) for p in vertices])
-
-    _make = classmethod(lambda cls, fields: cls(_vertices(*fields)))  # _replace validates too
-
-    @classmethod
-    def _hold(cls, rationals):
-        """The polygon of the points whose coordinates are rationals in
-        lowest terms (a Fraction, an int or a parsed Ratio): scaled to
-        integer points, validated and held counterclockwise."""
-        scale, pts = _integer_points(rationals)
+    @staticmethod
+    def _checked(pts):
         if _validate_simple(pts) < 0:
             pts.reverse()
-        return super().__new__(cls, scale, tuple(pts))
-
-    def __getnewargs__(self):  # copy and pickle rebuild from the vertices
-        return (self.vertices,)
-
-    vertices = property(lambda self: _vertices(*self))
-
-    def __repr__(self):
-        return f"Polygon(vertices={self.vertices!r})"
+        return tuple(pts)
 
 
 def _segments_touch(a, b, c, d):
@@ -335,7 +307,8 @@ def pick_audit(p):
     The area comes from the shoelace sum, the boundary count from per-edge
     gcds, and the interior count from the edge sum minus the boundary.
     """
-    L, pts = p.scale, p.points
+    from fractions import Fraction  # the area is a Fraction for its reader
+    L, pts = p
     if L != 1:  # the lcm of the denominators: some vertex is not integral
         x, y = next(v for v in p.vertices if v[0].denominator * v[1].denominator > 1)
         raise ValueError(f"pick_audit requires integral vertices, got ({x}, {y})")

@@ -3,12 +3,12 @@
 A rational token parses once to its numerator and denominator, and is
 reduced once: parse_ratio reduces them to its Ratio, in lowest terms with
 the denominator positive, and parse_rational hands them to
-fractions.Fraction, which reduces them itself.  Shapes other than
-polygons keep their input as Fractions; a polygon keeps only its points scaled to
-integers, so a poly request parses, validates and counts with no Fraction
-built.  Each count scales its shape's points by the lcm of their
-denominators, once, and runs on Python's unbounded ints.  No floating
-point is used.
+fractions.Fraction, which reduces them itself.  The CLI parses every
+rational with parse_ratio, and every shape holds its points scaled once,
+at construction, by the lcm of their denominators to integer points, so
+a request counts on Python's unbounded ints with no Fraction built.
+fractions is imported only by the functions that build a Fraction for a
+reader.  No floating point is used.
 
 Division is floor-style throughout: the remainder of n mod d lies in
 [0, d) for d > 0, which is what Python's // and % already do.
@@ -16,15 +16,20 @@ Division is floor-style throughout: the remainder of n mod d lies in
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
 _RATIONAL_RE = re.compile(r"([+-]?)(\d+)(?:\.(\d+)|/(\d+))?")
 _INT_RE = re.compile(r"[+-]?\d+")
 
-# a rational as the integer pair it parses to: the names are Fraction's, so
-# the scaling of points reads a Ratio, a Fraction and an int alike
-Ratio = namedtuple("Ratio", ["numerator", "denominator"])
+
+class Ratio(namedtuple("Ratio", ["numerator", "denominator"])):
+    """A rational as the integer pair it parses to.  Its field names are
+    Fraction's, and str writes it as str(Fraction) does."""
+
+    __slots__ = ()
+
+    def __str__(self):
+        return "%s/%s" % self if self.denominator != 1 else str(self.numerator)
 
 
 def parse_ratio(text):
@@ -62,6 +67,7 @@ def parse_rational(text):
     """Parse "p/q", "p" or "d.ddd" (optional sign) into an exact Fraction:
     the Fraction of parse_ratio's pair, with its error messages.  The
     Fraction reduces the token's own terms, so the pair is reduced once."""
+    from fractions import Fraction
     return Fraction(*_ratio_terms(text))
 
 
@@ -75,4 +81,5 @@ def parse_int(text):
 
 def format_rational(x):
     """Render a Fraction as "p/q" in lowest terms, or "p" when q == 1."""
+    from fractions import Fraction
     return str(Fraction(x))

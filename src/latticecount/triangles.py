@@ -4,36 +4,67 @@
 the coordinate axes, a stable right triangle has its two legs parallel to
 the axes.  Exact, lattice-preserving steps reduce each shape to the
 integer kernel: a stable right triangle by one corner lift of its three
-vertices, _corner_lift, to one quadrant count, and a segment, the
-hypotenuse of such a triangle, to the denumerant of the lifted bound.  The
-shapes store their exact Fraction input; each count scales its points to
-integers by _integer_points (scale L, X = L*x).  The orientation
-predicates are in polygons, their only user.
+points, _corner_lift, to one quadrant count, and a segment, the
+hypotenuse of such a triangle, to the denumerant of the lifted bound.
+Every shape holds its integer points, made once by _integer_points
+(scale L, X = L*x), and builds its Fraction vertices only when read.
+The orientation predicates are in polygons, their only user.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 
 from .kernel import denumerant, quadrant_count
 
 
-def _as_point(p):
-    """p as a tuple of two Fractions; a Fraction is kept, not re-wrapped."""
-    x, y = p
-    return (x if type(x) is Fraction else Fraction(x),
-            y if type(y) is Fraction else Fraction(y))
+def _rational(c):
+    if hasattr(c, "denominator"):  # an int, a Fraction or a parsed rationals.Ratio
+        return c
+    from fractions import Fraction  # only an input such as "7/2" or 0.5 loads fractions
+    return Fraction(c)
 
 
 def _integer_points(points):
     """(scale, points * scale) for scale the lcm of every coordinate
     denominator: integer points with the same orientations, incidences
     and coordinate order as the rational ones.  A coordinate is read by its
-    numerator and denominator in lowest terms: a Fraction, an int or a
-    parsed rationals.Ratio."""
+    numerator and denominator in lowest terms, as a Fraction, an int or a
+    parsed rationals.Ratio has them, or else as the Fraction it converts to."""
+    points = [(_rational(x), _rational(y)) for x, y in points]
     scale = lcm(*(c.denominator for p in points for c in p))
     return scale, [(x.numerator * (scale // x.denominator),
                     y.numerator * (scale // y.denominator)) for x, y in points]
+
+
+def _vertices(scale, points):  # the Fraction vertices, for a reader
+    from fractions import Fraction
+    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in points)
+
+
+class _Scaled(namedtuple("_Scaled", ["scale", "points"])):
+    """A shape with rational vertices, held as its scale L, the lcm of
+    their denominators, and its points, each vertex times L: integer pairs
+    made once, by _hold.  `vertices`, the tuple of Fraction pairs, is built
+    from the points when read, and so is each named vertex."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _hold(cls, vertices):
+        """The shape of the vertices, scaled by _integer_points and checked."""
+        scale, points = _integer_points(vertices)
+        return super().__new__(cls, scale, cls._checked(points))
+
+    _checked = staticmethod(tuple)  # the integer points to hold, or ValueError
+    _make = classmethod(lambda cls, fields: cls._hold(_vertices(*fields)))  # _replace checks too
+    vertices = property(lambda self: _vertices(*self))
+
+    def __reduce__(self):  # copy and pickle rebuild from the vertices
+        return self._hold, (self.vertices,)
+
+
+def _vertex(i):  # the property reading vertex i of a shape as a Fraction pair
+    return property(lambda self: self.vertices[i])
 
 
 def _span(lo, hi, L):
@@ -46,16 +77,13 @@ def _span(lo, hi, L):
 # ---------------------------------------------------------------------------
 
 
-class Segment(namedtuple("Segment", ["p", "q"])):
-    """Closed segment between two rational points; p == q is allowed and
-    denotes a single point."""
+class Segment(_Scaled):
+    """Closed segment between two rational points p and q; p == q is
+    allowed and denotes a single point."""
 
     __slots__ = ()
-
-    def __new__(cls, p, q):
-        return super().__new__(cls, _as_point(p), _as_point(q))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace converts too
+    __new__ = lambda cls, p, q: cls._hold((p, q))
+    p, q = map(_vertex, range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +93,10 @@ class Segment(namedtuple("Segment", ["p", "q"])):
 
 def rect_count(lo, hi):
     """Integral points in the closed axis-aligned rectangle [lo, hi]."""
-    lo, hi = _as_point(lo), _as_point(hi)
     L, ((x0, y0), (x1, y1)) = _integer_points((lo, hi))
     if x0 > x1 or y0 > y1:
-        raise ValueError(f"reversed rectangle bounds ({lo[0]}, {lo[1]}) .. ({hi[0]}, {hi[1]})")
+        (a, b), (c, d) = [map(_rational, p) for p in (lo, hi)]
+        raise ValueError(f"reversed rectangle bounds ({a}, {b}) .. ({c}, {d})")
     return _span(x0, x1, L) * _span(y0, y1, L)
 
 
@@ -82,7 +110,7 @@ LEG_Y = "leg_y"
 _BOUNDARY_PARTS = frozenset((HYPOTENUSE, LEG_X, LEG_Y))
 
 
-class StableRightTriangle(namedtuple("StableRightTriangle", ["corner", "x_vertex", "y_vertex"])):
+class StableRightTriangle(_Scaled):
     """Right triangle with legs parallel to the axes.
 
     corner is the right-angle vertex; x_vertex shares its y coordinate
@@ -91,31 +119,19 @@ class StableRightTriangle(namedtuple("StableRightTriangle", ["corner", "x_vertex
     """
 
     __slots__ = ()
+    __new__ = lambda cls, corner, x_vertex, y_vertex: cls._hold((corner, x_vertex, y_vertex))
 
-    def __new__(cls, corner, x_vertex, y_vertex):
-        self = super().__new__(cls, _as_point(corner), _as_point(x_vertex),
-                               _as_point(y_vertex))
-        if self.x_vertex[1] != self.corner[1] or self.y_vertex[0] != self.corner[0]:
+    @staticmethod
+    def _checked(points):
+        (cx, cy), (_, xy), (yx, _) = points
+        if xy != cy or yx != cx:
             raise ValueError("legs must be parallel to the coordinate axes")
-        return self
+        return tuple(points)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace converts and checks too
-
-    @property
-    def vertices(self):
-        return (self.corner, self.x_vertex, self.y_vertex)
-
-    @property
-    def hypotenuse(self):
-        return Segment(self.y_vertex, self.x_vertex)
-
-    @property
-    def leg_x(self):
-        return Segment(self.corner, self.x_vertex)
-
-    @property
-    def leg_y(self):
-        return Segment(self.corner, self.y_vertex)
+    corner, x_vertex, y_vertex = map(_vertex, range(3))
+    hypotenuse = property(lambda self: Segment(self.y_vertex, self.x_vertex))
+    leg_x = property(lambda self: Segment(self.corner, self.x_vertex))
+    leg_y = property(lambda self: Segment(self.corner, self.y_vertex))
 
     def boundary_segments(self, parts):
         """The segments of the named boundary parts, in the order
@@ -134,9 +150,9 @@ def _boundary_parts(names):
     return parts
 
 
-def _corner_lift(corner, x_vertex, y_vertex, exclude):
-    """The paper's reduction of the stable right triangle with Fraction
-    vertices corner, x_vertex at the corner's y and y_vertex at its x:
+def _corner_lift(L, points, exclude):
+    """The paper's reduction of the stable right triangle with integer
+    points corner, x_vertex at the corner's y and y_vertex at its x:
     (a, b, c, m) with quadrant_count(a, b, c // m) its count, or, when a
     leg has zero length (a == 0 or b == 0), with c its count and m = 1.
 
@@ -160,7 +176,7 @@ def _corner_lift(corner, x_vertex, y_vertex, exclude):
     the far vertex (delta, gamma), and all of it is hypotenuse.
     """
     exclude = _boundary_parts(exclude)
-    L, ((alpha, beta), (delta, _), (_, gamma)) = _integer_points((corner, x_vertex, y_vertex))
+    (alpha, beta), (delta, _), (_, gamma) = points
     if delta < alpha:
         alpha, delta = -alpha, -delta
     if gamma < beta:
@@ -187,7 +203,7 @@ def stable_right_reduction(t, exclude=()):
     ("hypotenuse", "leg_x", "leg_y") to leave out; a point or a segment
     is returned closed.
     """
-    a, b, c, m = _corner_lift(*t.vertices, exclude)
+    a, b, c, m = _corner_lift(*t, exclude)
     if a == b == 0:
         return ("point", t.corner)
     if a == 0 or b == 0:
@@ -203,7 +219,7 @@ def stable_right_count(t, exclude=()):
     corner lift, so the count is one quadrant_count whatever the
     exclusion.  A point or a segment follows the same strict inequalities.
     """
-    a, b, c, m = _corner_lift(*t.vertices, exclude)
+    a, b, c, m = _corner_lift(*t, exclude)
     return c if a == 0 or b == 0 else quadrant_count(a, b, c // m)
 
 
@@ -212,7 +228,8 @@ def segment_count(seg):
     right triangle with its right angle at (p.x, q.y), so the denumerant of
     the closed corner lift's bound.  A point or an axis-parallel segment is
     that triangle's degenerate case, all of it hypotenuse."""
-    a, b, c, m = _corner_lift((seg.p[0], seg.q[1]), seg.q, seg.p, ())
+    L, (p, q) = seg
+    a, b, c, m = _corner_lift(L, ((p[0], q[1]), q, p), ())
     if a == 0 or b == 0:
         return c
     return 0 if c % m else denumerant(a, b, c // m)

@@ -1,7 +1,9 @@
 import errno
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import no_digit_limit
-from latticecount import cli, oracle, polygons, tetra
+from corpus import no_digit_limit, rand_rational
+from latticecount import cli, oracle, polygons, tetra, triangles
 from latticecount.triangles import quadrant_count, rect_count
 
 
@@ -101,6 +103,25 @@ def test_rtri_trace_shows_reduction(capsys):
     assert code == 0
     trace = json.loads(out.strip())["trace"]
     assert trace == {"reduction": "quadrant", "a": "1", "b": "2", "c": "3"}
+
+
+def test_rtri_trace_names_the_reduction_the_count_ran(capsys):
+    """Under every subset of exclusions, the traced (a, b, c) is the
+    quadrant problem whose count the request reports."""
+    rng = random.Random(26)
+    shapes = [("0", "0", "0", "46/7", "46/3", "0"), ("1/3", "1/2", "1/3", "23/4", "19/2", "1/2")]
+    for _ in range(40):
+        ax, ay, bx, by = (str(rand_rational(rng, -9, 9, 12)) for _ in range(4))
+        if ax != bx and ay != by:
+            shapes.append((ax, ay, ax, by, bx, ay))
+    for coords in shapes:
+        for k in range(4):
+            for parts in itertools.combinations(("hyp", "legx", "legy"), k):
+                flags = ["--exclude", ",".join(parts)] if parts else []
+                code, out, _ = run_cli(capsys, "rtri", "--trace", "--json", *flags, "--", *coords)
+                report = json.loads(out)
+                a, b, c = (int(report["trace"][key]) for key in "abc")
+                assert code == 0 and quadrant_count(a, b, c) == int(report["count"]), (coords, parts)
 
 
 def test_rtri_rejects_slanted_legs(capsys):
@@ -278,6 +299,15 @@ def test_poly_trace_runs_the_edge_sum_once(capsys, monkeypatch, tmp_path, trace)
     assert (len(passes), len(triangles)) == (1, 0)
 
 
+def _spy_fractions(monkeypatch):
+    """The argument tuples of every Fraction built from here on."""
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: made.append(args) or new(cls, *args, **kwargs)))
+    return made
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",), ("--trace",), ("--trace", "--json")])
 def test_poly_request_scales_once_and_builds_no_fraction(capsys, monkeypatch, tmp_path, flags):
     """A poly request parses its tokens to integer pairs, scales them to
@@ -285,11 +315,8 @@ def test_poly_request_scales_once_and_builds_no_fraction(capsys, monkeypatch, tm
     is built.  With --check the oracle reads the Fraction vertices."""
     path = tmp_path / "hex.txt"
     path.write_text("0 0\n7/2 -1/3\n5 2.25\n2 5\n-1/2 3\n-1 1.5\n")
-    made = []
-    new = Fraction.__new__
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(
-        lambda cls, *args, **kwargs: made.append(args) or new(cls, *args, **kwargs)))
-    scalings = _count_calls(monkeypatch, (polygons,), "_integer_points")
+    made = _spy_fractions(monkeypatch)
+    scalings = _count_calls(monkeypatch, (triangles,), "_integer_points")
     code, out, _ = run_cli(capsys, "poly", str(path), *flags)
     json_mode = "--json" in flags
     assert code == 0 and ('"count": "23"' if json_mode else "poly(n=6): 23\n") in out
@@ -297,6 +324,31 @@ def test_poly_request_scales_once_and_builds_no_fraction(capsys, monkeypatch, tm
     code, out, _ = run_cli(capsys, "poly", str(path), "--check", *flags)
     assert code == 0 and ('"agreed": true' if json_mode else "oracle: 23 (agreed)") in out
     assert len(scalings) == 2
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["tri", "0", "0", "4", "1", "1", "3"], 8),
+    (["tri", "--trace", "--json", "--", "-7/2", "0.25", "5", "-1", "1", "10/3"], 17),
+    (["tri", "--trace", "0", "0", "1", "1", "2", "2"], 3),
+    (["rect", "--", "-0.5", "-6/5", "3.25", "1"], 12),
+    (["rect", "--json", "1/2", "-6/5", "7/2", "1"], 9),
+    (["rtri", "--trace", "0", "0", "0", "46/7", "46/3", "0"], 63),
+    (["rtri", "--trace", "--json", "0", "0", "0", "46/7", "46/3", "0", "--exclude", "hyp"], 61),
+    (["rtri", "0", "0", "0", "46/7", "46/3", "0", "--exclude", "hyp,legx"], 45),
+    (["rtri", "1", "1", "1", "1", "4", "1", "--exclude", "legy"], 3),
+])
+def test_shape_request_scales_once_and_builds_no_fraction(capsys, monkeypatch, argv, count):
+    """A tri, rect or rtri request parses its tokens to integer pairs and
+    scales its shape to integer points once, at construction: without
+    --check no Fraction is built, and the count reads the stored points.
+    With --check the oracle reads the Fraction vertices."""
+    made = _spy_fractions(monkeypatch)
+    scalings = _count_calls(monkeypatch, (triangles,), "_integer_points")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and (f'"count": "{count}"' if "--json" in argv else f": {count}\n") in out
+    assert (made, len(scalings)) == ([], 1)
+    code, out, _ = run_cli(capsys, argv[0], "--check", *argv[1:])
+    assert code == 0 and made
 
 
 def test_tetra_trace_is_one_slice_pass(capsys, monkeypatch):
@@ -507,6 +559,9 @@ GOLDEN = [
      '{"shape": "rtri(A=(0, 0), B=(0, 46/7), C=(46/3, 0))", "count": "63", "trace": {"reduction": "quadrant", "a": "3", "b": "7", "c": "46"}}\n'),
     ('rtri 0 0 0 46/7 46/3 0 --trace --check --json',
      '{"shape": "rtri(A=(0, 0), B=(0, 46/7), C=(46/3, 0))", "count": "63", "trace": {"reduction": "quadrant", "a": "3", "b": "7", "c": "46"}, "oracle": "63", "agreed": true}\n'),
+    # the trace names the bound of the half-open count: 39 = quadrant_count(3, 7, 35)
+    ('rtri 0 0 0 46/7 46/3 0 --exclude hyp,legx,legy --trace',
+     'rtri(A=(0, 0), B=(0, 46/7), C=(46/3, 0)): 39\n  reduction: quadrant\n  a: 3\n  b: 7\n  c: 35\n  excluded: hypotenuse, leg_x, leg_y\n'),
     ('rtri 1/3 1/2 1/3 23/4 19/2 1/2 --exclude hyp,legy',
      'rtri(A=(1/3, 1/2), B=(1/3, 23/4), C=(19/2, 1/2)): 23\n'),
     ('rtri 1/3 1/2 1/3 23/4 19/2 1/2 --exclude hyp,legy --json',

@@ -98,13 +98,37 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     interpreter, import latticecount.cli loads neither dataclasses nor
     inspect, which would add about 15 ms to it (inspect brings ast, dis
     and tokenize).  Nor does it load what only some requests run: the
-    oracle, which the first --check imports, and json, which the first
-    --json imports.  Modules the interpreter loads before the import do
-    not count."""
+    oracle, which the first --check imports, json, which the first
+    --json imports, and fractions, which only pick and --check build.
+    Modules the interpreter loads before the import do not count."""
     code = ("import sys; before = set(sys.modules); import latticecount.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json', 'latticecount.oracle'}"
+            "print(sorted({'dataclasses', 'inspect', 'json', 'latticecount.oracle', 'fractions'}"
             " & (set(sys.modules) - before)))")
     assert _fresh(code) == "[]\n"
+
+
+def test_requests_but_pick_and_check_load_no_fractions(tmp_path):
+    """Shapes hold integer points and the CLI parses rationals to integer
+    pairs, so in a fresh interpreter one request of every subcommand but
+    pick, each without --check, loads neither fractions nor the decimal
+    and numbers modules it imports."""
+    path = tmp_path / "shape.txt"
+    path.write_text("0 0\n7/2 0\n7/2 1.5\n0 5/2\n")
+    requests = [
+        ["thr", "3", "7", "46", "--trace"],
+        ["rect", "--", "-0.5", "-6/5", "3.25", "1"],
+        ["rtri", "0", "0", "0", "46/7", "46/3", "0", "--exclude", "hyp", "--trace", "--json"],
+        ["tri", "0", "0", "4", "1", "1", "3", "--trace"],
+        ["poly", str(path), "--trace"],
+        ["tetra", "6", "10", "15", "21", "--trace", "--json"],
+        ["denumerant", "3", "7", "46"],
+        ["denumerant3", "3", "5", "7", "10"],
+        ["semigroup", "3", "7", "--gaps"],
+    ]
+    code = ("import io, sys; import latticecount.cli as cli; "
+            f"print([cli.run(argv, io.StringIO(), io.StringIO()) for argv in {requests!r}]); "
+            "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    assert _fresh(code) == f"{[0] * len(requests)}\n[]\n"
 
 
 def test_oracle_loads_on_first_use():

@@ -3,7 +3,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -266,18 +266,22 @@ def test_rect_count_rejects_reversed_bounds():
 # --- segments -----------------------------------------------------------------
 
 
-def test_shapes_keep_fraction_coordinates():
-    """A Fraction coordinate is stored as given, not re-wrapped; an int or a
-    rational string becomes an equal Fraction."""
+def test_shapes_hold_integer_points():
+    """A shape holds its scale, the lcm of its denominators, and its
+    vertices times the scale, as integer pairs; an int, a Fraction or a
+    rational string is read alike.  Its vertices read as Fraction pairs."""
     x, y = F(1, 3), F(-7, 2)
     seg = Segment((x, 2), (y, "5/4"))
-    assert seg.p[0] is x and seg.q[0] is y
-    assert seg.p[1] == 2 and seg.q[1] == F(5, 4)
+    assert seg == (12, ((4, 24), (-42, 15))) and (seg.scale, seg.points) == tuple(seg)
+    assert seg.p == (x, 2) and seg.q == (y, F(5, 4))
     assert {type(c) for c in seg.p + seg.q} == {Fraction}
     t = StableRightTriangle(corner=(x, y), x_vertex=(5, y), y_vertex=(x, 4))
-    assert t.corner[0] is x and t.corner[1] is y and t.x_vertex[1] is y and t.y_vertex[0] is x
+    assert (t.scale, t.points) == (6, ((2, -21), (30, -21), (2, 24)))
+    assert t.corner == (x, y) and t.x_vertex == (5, y) and t.y_vertex == (x, 4)
     assert t.vertices == ((x, y), (F(5), y), (x, F(4)))
     assert {type(c) for p in t.vertices for c in p} == {Fraction}
+    assert {type(c) for p in t.points for c in p} == {int}
+    assert Triangle((0.5, 0), (1, 0), (0, 1)) == Triangle((F(1, 2), 0), ("1", 0), (0, 1))
 
 
 def test_segment_count_examples():
@@ -538,3 +542,77 @@ def test_exclusion_removes_exactly_the_boundary_points(t):
     integral_vertices = sum(p[0].denominator == p[1].denominator == 1 for p in t.vertices)
     assert (closed - stable_right_count(t, exclude=set(counts))
             == sum(counts.values()) - integral_vertices)
+
+
+# --- Ehrhart dilation: each count against its exact area, at any scale -----------
+#
+# For a triangle P whose vertex denominators divide L, f(t) = #(tP ∩ Z²) is
+# a quasi-polynomial of degree 2 with period L and leading coefficient
+# area(P) (Beck and Robins, Computing the Continuous Discretely, ch. 3), so
+# f(t + 2L) - 2 f(t + L) + f(t) = 2·area(P)·L² for every integer t >= 1.
+# A half-open triangle is the closed one minus the points of some closed
+# segments, whose counts are linear on each class mod L: the same holds.
+# The area is the shoelace sum, computed with no floor sum.
+
+
+def _dilation_second_difference(count, vertices, t):
+    """f(t + 2L) - 2 f(t + L) + f(t), for f(k) = count(the vertices times k)
+    and L the lcm of their denominators, and twice the area times L²."""
+    L = lcm(*(c.denominator for p in vertices for c in p))
+
+    def f(k):
+        return count([(k * x, k * y) for x, y in vertices])
+
+    (x0, y0), (x1, y1), (x2, y2) = vertices
+    twice_area = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    return f(t + 2 * L) - 2 * f(t + L) + f(t), twice_area * L * L
+
+
+def _rational_1e6(rng):
+    q = rng.randint(1, 16)
+    return F(rng.randint(-10**6 * q, 10**6 * q), q)
+
+
+def _triangle_count_of(vertices):
+    return triangle_count(Triangle(*vertices))
+
+
+def test_triangle_count_dilates_as_its_area():
+    """The Ehrhart identity for triangle_count: 300 random triangles at
+    +-1e6 over denominators up to 16, and 30 triangles of 300 digits over
+    denominators up to 10**6, dilated by t up to 10**6."""
+    rng = random.Random(2026)
+    for _ in range(300):
+        vertices = [(_rational_1e6(rng), _rational_1e6(rng)) for _ in range(3)]
+        diff, expected = _dilation_second_difference(_triangle_count_of, vertices,
+                                                     rng.randint(1, 50))
+        assert diff == expected, vertices
+    for _ in range(30):
+        vertices = [(rand_rational_300(rng), rand_rational_300(rng)) for _ in range(3)]
+        diff, expected = _dilation_second_difference(_triangle_count_of, vertices,
+                                                     rng.randint(1, 10**6))
+        assert diff == expected, vertices
+
+
+def _right_triangle_vertices(rng, coord):
+    ax, ay, cx, by = (coord(rng) for _ in range(4))
+    return [(ax, ay), (cx, ay), (ax, by)]
+
+
+def test_half_open_stable_right_count_dilates_as_its_area():
+    """The Ehrhart identity for stable_right_count under each of the 8
+    subsets of excluded parts: 100 random right triangles at +-1e6 over
+    denominators up to 16, and 10 of 300 digits over denominators up to
+    10**6, dilated by t up to 10**6."""
+    rng = random.Random(2027)
+    cases = ([(_right_triangle_vertices(rng, _rational_1e6), rng.randint(1, 50))
+              for _ in range(100)]
+             + [(_right_triangle_vertices(rng, rand_rational_300), rng.randint(1, 10**6))
+                for _ in range(10)])
+    for vertices, t in cases:
+        for parts in _SUBSETS:
+            def count(points, parts=parts):
+                return stable_right_count(StableRightTriangle(*points), exclude=parts)
+
+            diff, expected = _dilation_second_difference(count, vertices, t)
+            assert diff == expected, (vertices, sorted(parts))

@@ -4,9 +4,9 @@ stable right tetrahedra, built on two-generator numerical semigroups.
 All arithmetic is exact: every count runs on unbounded ints, on the
 rational input points scaled to integers.  Every shape is scaled once, at
 construction, and holds its integer points; its Fraction vertices are
-built only when read.  Every counter has an independent brute-force twin
-in latticecount.oracle, which is imported when it is first read, not
-with the package.
+built only when read.  Every count the CLI reports has an independent
+brute-force twin in latticecount.oracle, the one --check runs; the
+module is imported when it is first read, not with the package.
 """
 
 import importlib
@@ -23,7 +23,6 @@ from .triangles import (
     rect_count,
     segment_count,
     stable_right_count,
-    stable_right_reduction,
 )
 from .polygons import (
     CASE_DEGENERATE,
@@ -63,7 +62,6 @@ __all__ = [
     "rect_count",
     "segment_count",
     "stable_right_count",
-    "stable_right_reduction",
     "Triangle",
     "Polygon",
     "PickAudit",

@@ -43,9 +43,8 @@ from .triangles import (
     LEG_Y,
     Segment,
     StableRightTriangle,
+    _corner_lift,
     rect_count,
-    stable_right_count,
-    stable_right_reduction,
 )
 
 _EXCLUDE_PARTS = {"hyp": HYPOTENUSE, "legx": LEG_X, "legy": LEG_Y}
@@ -181,12 +180,16 @@ def _rect_query(args, x0, y0, x1, y1):
 def _rtri_query(args, ax, ay, bx, by, cx, cy):
     tri = StableRightTriangle(corner=(ax, ay), y_vertex=(bx, by), x_vertex=(cx, cy))
     parts = _parse_exclude(args.exclude)
-    count, trace = stable_right_count(tri, exclude=parts), None
+    # one corner lift gives the count, as stable_right_count makes it, and
+    # the reduction the trace names
+    a, b, c, m = _corner_lift(*tri, parts)
+    count = c if a == 0 or b == 0 else quadrant_count(a, b, c // m)
+    trace = None
     if args.trace:
-        kind, data = stable_right_reduction(tri, parts)
-        trace = {"reduction": kind}
-        if kind == "quadrant":
-            trace.update(zip("abc", map(str, data)))
+        if a == 0 or b == 0:  # a point or a segment, counted by c
+            trace = {"reduction": "point" if a == b == 0 else "segment"}
+        else:
+            trace = {"reduction": "quadrant", "a": str(a), "b": str(b), "c": str(c // m)}
         if parts:
             trace["excluded"] = sorted(parts)
     return _Query(f"rtri(A=({ax}, {ay}), B=({bx}, {by}), C=({cx}, {cy}))", count, trace,

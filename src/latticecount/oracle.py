@@ -1,14 +1,14 @@
 """Naive brute-force counters used as ground truth.
 
 Every counter here enumerates lattice points of a bounding region and
-tests membership with plain comparisons and exact sign tests, except
-quadrant_count_floor_form, which sums the quadrant count's partial strip
-one column at a time.  The planar counters turn their points into
-Fractions once and scale them by the lcm L of all their denominators;
-each cell (x, y) of the box then costs O(edges) integer sign tests on
-(x*L, y*L), with no Fraction built per cell.  Nothing in this module
-shares code with the closed-form counters; that independence is what
-makes the equivalence tests meaningful.
+tests membership with plain comparisons and exact sign tests.  Each is
+what a subcommand's --check runs, and the module holds nothing else;
+the tests keep their own references in tests/references.py.  The planar
+counters turn their points into Fractions once and scale them by the lcm
+L of all their denominators; each cell (x, y) of the box then costs
+O(edges) integer sign tests on (x*L, y*L), with no Fraction built per
+cell.  Nothing in this module shares code with the closed-form counters;
+that independence is what makes the equivalence tests meaningful.
 
 Enumeration refuses regions with more cells than a budget (a named
 constant, overridable per call and from the CLI) so that accidental huge
@@ -16,7 +16,7 @@ inputs fail fast instead of spinning.
 """
 
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, lcm
 
 DEFAULT_CELL_BUDGET = 10_000_000
 
@@ -85,29 +85,6 @@ def brute_halfplane_quadrant(a, b, c, budget=DEFAULT_CELL_BUDGET):
     return count
 
 
-def quadrant_count_floor_form(a, b, c, budget=DEFAULT_CELL_BUDGET):
-    """Count (x, y) >= 0 with a*x + b*y <= c for coprime a, b by the strip
-    decomposition summed term by term: with k = floor(c/(a*b)), the k full
-    strips of width max(a, b) in closed form, then one summand per column
-    of the partial strip, every remainder spelled c - k*a*b.  The library
-    sums the partial strip with a floor-sum reduction instead, so the two
-    can be checked against each other far past the reach of the double
-    loop.  The budget bounds the partial-strip columns.
-    """
-    if a < 1 or b < 1 or gcd(a, b) != 1:
-        raise ValueError(f"coefficients must be coprime positive integers, got ({a}, {b})")
-    if c < 0:
-        return 0
-    if a > b:
-        a, b = b, a
-    k = c // (a * b)
-    _check_budget((c - k * a * b) // b + 1, budget)
-    total = (-(a * b) * k * k + (a + b + 1 + 2 * c) * k) // 2
-    for i in range((c - k * a * b) // b + 1):
-        total += (c - k * a * b - i * b) // a + 1
-    return total
-
-
 def brute_rect(lo, hi, budget=DEFAULT_CELL_BUDGET):
     """Count integral points of a closed axis-aligned rectangle by scanning."""
     lo, hi = _pt(lo), _pt(hi)
@@ -115,14 +92,6 @@ def brute_rect(lo, hi, budget=DEFAULT_CELL_BUDGET):
     scale, ((x0, y0), (x1, y1)) = _scaled([lo, hi])
     return sum(1 for x in xr for y in yr
                if x0 <= x * scale <= x1 and y0 <= y * scale <= y1)
-
-
-def brute_segment(seg, budget=DEFAULT_CELL_BUDGET):
-    """Count integral points on a closed segment by scanning its box."""
-    p, q = _pt(seg.p), _pt(seg.q)
-    xr, yr = _box_ranges([p, q], budget)
-    scale, (p, q) = _scaled([p, q])
-    return sum(1 for x in xr for y in yr if _on_segment((x * scale, y * scale), p, q))
 
 
 def brute_triangle(t, include_boundary=True, exclude_segments=(),
@@ -199,58 +168,12 @@ def brute_tetra(a1, a2, a3, b, budget=DEFAULT_CELL_BUDGET):
     return count
 
 
-def brute_equation3_table(a1, a2, a3, nmax, budget=DEFAULT_CELL_BUDGET):
-    """Representation counts of a1*x1 + a2*x2 + a3*x3 = n for all n in
-    [0, nmax], by coin-counting dynamic programming (add coin a1, then a2,
-    then a3).
-
-    The budget bounds the (x1, x2, x3) candidates a triple loop would
-    scan, so the table refuses the same inputs as plain enumeration.
-    """
-    if a1 < 1 or a2 < 1 or a3 < 1:
-        raise ValueError(f"coefficients must be positive, got ({a1}, {a2}, {a3})")
-    if nmax < 0:
-        return []
-    pairs = sum((nmax - a1 * x1) // a2 + 1 for x1 in range(nmax // a1 + 1))
-    _check_budget(pairs * (nmax // a3 + 1), budget)
-    ways = [0] * (nmax + 1)
-    for m in range(0, nmax + 1, a1):
-        ways[m] = 1
-    for coin in (a2, a3):
-        for n in range(coin, nmax + 1):
-            ways[n] += ways[n - coin]
-    return ways
-
-
-def brute_tetra_table(a1, a2, a3, bmax, budget=DEFAULT_CELL_BUDGET):
-    """Tetrahedron counts for every bound b in [0, bmax] in one enumeration
-    pass (running sums of brute_equation3_table)."""
-    table = brute_equation3_table(a1, a2, a3, bmax, budget)
-    out = []
-    running = 0
-    for ways in table:
-        running += ways
-        out.append(running)
-    return out
-
-
 def brute_denumerant2(a, b, c, budget=DEFAULT_CELL_BUDGET):
     """Representations of c as x*a + y*b, x, y >= 0, by a single loop."""
     if c < 0:
         return 0
     _check_budget(c // a + 1, budget)
     return sum(1 for x in range(c // a + 1) if (c - a * x) % b == 0)
-
-
-def brute_denumerant2_table(a, b, cmax):
-    """Representation counts for every c in [0, cmax] by coin-counting
-    dynamic programming (add coin a, then coin b)."""
-    ways = [0] * (cmax + 1)
-    for m in range(0, cmax + 1, a):
-        ways[m] = 1
-    for c in range(b, cmax + 1):
-        ways[c] += ways[c - b]
-    return ways
 
 
 def brute_denumerant3(a1, a2, a3, n, budget=DEFAULT_CELL_BUDGET):

@@ -6,6 +6,7 @@ the axes.  Exact, lattice-preserving steps reduce each shape to the
 integer kernel: a stable right triangle by one corner lift of its three
 points, _corner_lift, to one quadrant count, and a segment, the
 hypotenuse of such a triangle, to the denumerant of the lifted bound.
+The CLI's rtri request reads its count and its trace off one such lift.
 Every shape holds its integer points, made once by _integer_points
 (scale L, X = L*x), and builds its Fraction vertices only when read.
 The orientation predicates are in polygons, their only user.
@@ -189,26 +190,6 @@ def _corner_lift(L, points, exclude):
     c = a * (delta - L * x0) + b * (beta - L * y0) - (HYPOTENUSE in exclude)
     d = gcd(a, b)
     return a // d, b // d, c, d * L
-
-
-def stable_right_reduction(t, exclude=()):
-    """Reduce a stable right triangle to a primitive counting problem.
-
-    Returns one of
-        ("point", p)            the triangle is a single point
-        ("segment", seg)        the triangle is a segment
-        ("quadrant", (a, b, c)) lattice count equals quadrant_count(a, b, c)
-
-    The (a, b, c) is the corner lift's, c floored.  exclude names boundary parts
-    ("hypotenuse", "leg_x", "leg_y") to leave out; a point or a segment
-    is returned closed.
-    """
-    a, b, c, m = _corner_lift(*t, exclude)
-    if a == b == 0:
-        return ("point", t.corner)
-    if a == 0 or b == 0:
-        return ("segment", t.leg_y if b == 0 else t.leg_x)
-    return ("quadrant", (a, b, c // m))
 
 
 def stable_right_count(t, exclude=()):

@@ -8,6 +8,16 @@ import pytest
 from latticecount import oracle
 from latticecount.polygons import Polygon, Triangle, polygon_count, triangle_count
 from latticecount.triangles import Segment
+from references import (
+    brute_denumerant2_table,
+    brute_equation3_table,
+    brute_segment,
+    brute_tetra_table,
+    reference_polygon,
+    reference_rect,
+    reference_segment,
+    reference_triangle,
+)
 
 
 def test_brute_halfplane_quadrant_examples():
@@ -43,7 +53,7 @@ def test_brute_polygon_examples():
 
 
 def test_brute_segment_and_rect():
-    assert oracle.brute_segment(Segment((0, 0), (6, 4))) == 3
+    assert brute_segment(Segment((0, 0), (6, 4))) == 3
     assert oracle.brute_rect((0, 0), (2, 3)) == 12
 
 
@@ -58,8 +68,8 @@ def test_tetra_tables_match_pointwise_brute():
     for _ in range(10):
         a1, a2, a3 = (rng.randint(1, 9) for _ in range(3))
         bmax = rng.randint(0, 40)
-        table = oracle.brute_tetra_table(a1, a2, a3, bmax)
-        eq = oracle.brute_equation3_table(a1, a2, a3, bmax)
+        table = brute_tetra_table(a1, a2, a3, bmax)
+        eq = brute_equation3_table(a1, a2, a3, bmax)
         assert len(table) == len(eq) == bmax + 1
         for b in range(0, bmax + 1, max(1, bmax // 7)):
             assert table[b] == oracle.brute_tetra(a1, a2, a3, b)
@@ -68,7 +78,7 @@ def test_tetra_tables_match_pointwise_brute():
 
 def test_denumerant2_table_matches_loop():
     for a, b in [(3, 7), (2, 5), (4, 9)]:
-        table = oracle.brute_denumerant2_table(a, b, 5 * a * b)
+        table = brute_denumerant2_table(a, b, 5 * a * b)
         for c in range(5 * a * b + 1):
             assert table[c] == oracle.brute_denumerant2(a, b, c)
 
@@ -82,88 +92,7 @@ def test_brute_semigroup_helpers():
     assert oracle.brute_count_upto(3, 7, 11) == 6
 
 
-# --- the integer oracle against the Fraction reference ----------------------
-# The four planar counters as they were before they scaled their points to
-# integers: each cell becomes a pair of Fractions and every membership test
-# is Fraction arithmetic, with the ray crossing's abscissa computed by a
-# division.  They share no helper with oracle.py.
-
-
-def _ref_pt(p):
-    x, y = p
-    return (Fraction(x), Fraction(y))
-
-
-def _ref_cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _ref_on_segment(p, a, b):
-    if _ref_cross(a, b, p) != 0:
-        return False
-    return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-
-def _ref_cells(points):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return [(Fraction(x), Fraction(y))
-            for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1)
-            for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1)]
-
-
-def reference_rect(lo, hi):
-    lo, hi = _ref_pt(lo), _ref_pt(hi)
-    return sum(1 for x, y in _ref_cells([lo, hi])
-               if lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1])
-
-
-def reference_segment(seg):
-    p, q = _ref_pt(seg.p), _ref_pt(seg.q)
-    return sum(1 for c in _ref_cells([p, q]) if _ref_on_segment(c, p, q))
-
-
-def reference_triangle(t, include_boundary=True, exclude_segments=()):
-    v1, v2, v3 = (_ref_pt(v) for v in t.vertices)
-    orient = _ref_cross(v1, v2, v3)
-    excl = [(_ref_pt(s.p), _ref_pt(s.q)) for s in exclude_segments]
-    count = 0
-    for p in _ref_cells([v1, v2, v3]):
-        if orient == 0:
-            inside = include_boundary and (_ref_on_segment(p, v1, v2)
-                                           or _ref_on_segment(p, v2, v3)
-                                           or _ref_on_segment(p, v3, v1))
-        else:
-            s1 = _ref_cross(v1, v2, p) * orient
-            s2 = _ref_cross(v2, v3, p) * orient
-            s3 = _ref_cross(v3, v1, p) * orient
-            if include_boundary:
-                inside = s1 >= 0 and s2 >= 0 and s3 >= 0
-            else:
-                inside = s1 > 0 and s2 > 0 and s3 > 0
-        if inside and not any(_ref_on_segment(p, a, b) for a, b in excl):
-            count += 1
-    return count
-
-
-def reference_polygon(poly, include_boundary=True):
-    verts = [_ref_pt(v) for v in poly.vertices]
-    n = len(verts)
-    count = 0
-    for pt in _ref_cells(verts):
-        if any(_ref_on_segment(pt, verts[i], verts[(i + 1) % n]) for i in range(n)):
-            count += include_boundary
-            continue
-        crossings = 0
-        for i in range(n):
-            u, v = verts[i], verts[(i + 1) % n]
-            if (u[1] > pt[1]) != (v[1] > pt[1]):
-                x_int = u[0] + (pt[1] - u[1]) * (v[0] - u[0]) / (v[1] - u[1])
-                if x_int > pt[0]:
-                    crossings ^= 1
-        count += crossings
-    return count
+# --- the integer oracle against the Fraction reference (references.py) -------
 
 
 # the bench reference's shapes: any object with .vertices, and .p/.q on segments
@@ -242,9 +171,9 @@ def test_integer_oracle_matches_the_fraction_reference():
         lo, hi = (_as_given(rng, _point(rng)) for _ in range(2))
         assert oracle.brute_rect(lo, hi) == reference_rect(lo, hi)
         seg = _Seg(*_segment_through_a_lattice_point(rng))
-        assert oracle.brute_segment(seg) == reference_segment(seg)
+        assert brute_segment(seg) == reference_segment(seg)
         seg = Segment(_as_given(rng, seg.p), _as_given(rng, seg.q))
-        assert oracle.brute_segment(seg) == reference_segment(seg)
+        assert brute_segment(seg) == reference_segment(seg)
     for i in range(300):
         verts = _triangle_vertices(rng, ("general", "lattice", "collinear", "point")[i % 4])
         excl = [_exclusion(rng, verts) for _ in range(rng.randint(0, 3))]

@@ -1,3 +1,4 @@
+import random
 import timeit
 from math import gcd
 
@@ -5,6 +6,7 @@ import pytest
 
 from latticecount.oracle import brute_apery, brute_denumerant2, brute_gaps
 from latticecount.semigroup import TwoGenSemigroup, denumerant2
+from references import brute_denumerant2_table
 
 
 def coprime_pairs(limit, strict=True):
@@ -142,3 +144,16 @@ def test_denumerant_matches_brute_force_and_bound():
                 assert d in (k, k + 1)
             else:
                 assert d == 0
+
+
+def test_denumerant_is_the_enumerated_period_plus_full_periods_at_300_digits():
+    """denumerant(a, b, c + a*b) = denumerant(a, b, c) + 1 for c >= 0
+    (Beck and Robins, ch. 1), so the enumerated table on c < a*b gives
+    every denumerant: table[c % (a*b)] + c // (a*b).  Checked for every
+    coprime pair up to 30 at c of up to 300 digits."""
+    rng = random.Random(2029)
+    for a, b in coprime_pairs(30, strict=False):
+        table = brute_denumerant2_table(a, b, a * b - 1)
+        for c in (rng.randrange(10**300), rng.randrange(10**299, 10**300),
+                  rng.randrange(10**6) * a * b + rng.randrange(a * b)):
+            assert denumerant2(a, b, c) == table[c % (a * b)] + c // (a * b), (a, b, c)

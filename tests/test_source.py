@@ -86,6 +86,19 @@ def test_oracle_imports_nothing_from_the_package():
     assert not found, f"package imports in oracle.py: {found}"
 
 
+def test_oracle_holds_only_what_check_runs():
+    """Every public function of oracle.py is named in cli.py, the one
+    caller of the oracle: the test-only references live in
+    tests/references.py."""
+    tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
+    public = [node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert public, "no public functions in oracle.py"
+    cli = (SRC / "cli.py").read_text()
+    unused = [name for name in public if not re.search(rf"\b{name}\b", cli)]
+    assert not unused, f"oracle functions no CLI request runs: {unused}"
+
+
 def _fresh(code):
     """The standard output of code run in a fresh interpreter on src/."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -111,13 +124,16 @@ def test_requests_but_pick_and_check_load_no_fractions(tmp_path):
     """Shapes hold integer points and the CLI parses rationals to integer
     pairs, so in a fresh interpreter one request of every subcommand but
     pick, each without --check, loads neither fractions nor the decimal
-    and numbers modules it imports."""
+    and numbers modules it imports.  The traces of a degenerate rtri, a
+    point and a segment, name the reduction without building it."""
     path = tmp_path / "shape.txt"
     path.write_text("0 0\n7/2 0\n7/2 1.5\n0 5/2\n")
     requests = [
         ["thr", "3", "7", "46", "--trace"],
         ["rect", "--", "-0.5", "-6/5", "3.25", "1"],
         ["rtri", "0", "0", "0", "46/7", "46/3", "0", "--exclude", "hyp", "--trace", "--json"],
+        ["rtri", "1/2", "1/3", "1/2", "1/3", "1/2", "1/3", "--exclude", "hyp", "--trace"],
+        ["rtri", "1", "1", "1", "1", "4", "1", "--trace"],
         ["tri", "0", "0", "4", "1", "1", "3", "--trace"],
         ["poly", str(path), "--trace"],
         ["tetra", "6", "10", "15", "21", "--trace", "--json"],

@@ -6,12 +6,12 @@ import subprocess
 import sys
 import time
 from itertools import permutations
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
 from latticecount import cli, kernel, tetra
-from latticecount.oracle import brute_denumerant3, brute_equation3_table, brute_tetra
+from latticecount.oracle import brute_denumerant3, brute_tetra
 from latticecount.semigroup import denumerant2
 from latticecount.tetra import (
     _reduce,
@@ -21,6 +21,7 @@ from latticecount.tetra import (
     tetra_slice_counts,
 )
 from latticecount.triangles import quadrant_count
+from references import brute_equation3_table, brute_tetra_table
 
 
 def test_tetra_examples():
@@ -84,6 +85,31 @@ def test_single_slice_matches_reduced_planar_count():
         d = gcd(a1, a2)
         assert tetra_count(a1, a2, big, b) == quadrant_count(a1 // d, a2 // d, b // d)
 
+
+
+def test_tetra_count_is_a_cubic_on_each_class_anchored_by_enumeration():
+    """With M = lcm(a1, a2, a3), tetra_count(b) is an Ehrhart
+    quasi-polynomial of period M with leading coefficient
+    1/(6*a1*a2*a3) (Beck and Robins, Computing the Continuous Discretely,
+    ch. 3): on each class b = r + k*M it is a cubic in k whose third
+    difference is M**3/(a1*a2*a3).  So the enumerated counts for b < 3M
+    give every count by Newton's forward formula on b's class: 150
+    generator triples up to 12, each at b below 3M, up to 10**6 and up to
+    10**30.  The enumeration anchors the cubic; a bias of the closed form
+    that does not depend on b would cancel in the differences alone."""
+    rng = random.Random(2028)
+    for _ in range(150):
+        gens = tuple(rng.randint(1, 12) for _ in range(3))
+        M = lcm(*gens)
+        # the budget counts the cells a triple loop would scan; the table is 3M sums
+        table = brute_tetra_table(*gens, 3 * M - 1, budget=None)
+        third = M**3 // (gens[0] * gens[1] * gens[2])
+        for b in (rng.randrange(3 * M), rng.randint(0, 10**6), rng.randint(0, 10**30)):
+            k, r = divmod(b, M)
+            f0, f1, f2 = table[r], table[r + M], table[r + 2 * M]
+            predicted = (f0 + k * (f1 - f0) + comb(k, 2) * (f2 - 2 * f1 + f0)
+                         + comb(k, 3) * third)
+            assert tetra_count(*gens, b) == predicted, (gens, b)
 
 # generator triples by their sorted pair (p, q) and largest generator s:
 # a non-coprime pair (d = gcd(p, q) > 1, with gcd(s, d) 1 or not), a

@@ -10,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import rand_gcd_shift_instance, rand_point, rand_rational_300, rand_stable_right
-from latticecount import triangles
+from latticecount import cli, triangles
 from latticecount.kernel import BlockTrace, floor_sum, full_strips, quadrant_blocks
 from latticecount.oracle import (
     brute_halfplane_quadrant,
     brute_rect,
-    brute_segment,
     brute_triangle,
-    quadrant_count_floor_form,
 )
 from latticecount.polygons import Triangle, triangle_count
 from latticecount.semigroup import TwoGenSemigroup, denumerant2
@@ -31,8 +29,8 @@ from latticecount.triangles import (
     rect_count,
     segment_count,
     stable_right_count,
-    stable_right_reduction,
 )
+from references import brute_segment, quadrant_count_floor_form
 
 F = Fraction
 
@@ -392,8 +390,8 @@ def test_stable_right_requires_axis_parallel_legs():
 def test_stable_right_examples():
     t = StableRightTriangle(corner=(0, 0), y_vertex=(0, F(7, 4)), x_vertex=(F(7, 2), 0))
     assert stable_right_count(t) == 6
-    kind, data = stable_right_reduction(t)
-    assert kind == "quadrant" and data == (1, 2, 3)
+    a, b, c, m = triangles._corner_lift(*t, ())
+    assert (a, b, c // m) == (1, 2, 3)
 
     t = StableRightTriangle(
         corner=(F(1, 2), F(1, 2)),
@@ -463,7 +461,7 @@ def test_boundary_exclusions_reject_unknown_part():
     with pytest.raises(ValueError):
         stable_right_count(t, exclude={"edge"})
     with pytest.raises(ValueError):
-        stable_right_reduction(t, {"edge"})
+        triangles._corner_lift(*t, {"edge"})
 
 
 _SUBSETS = [frozenset(c) for r in range(4) for c in combinations((HYPOTENUSE, LEG_X, LEG_Y), r)]
@@ -501,22 +499,44 @@ def test_boundary_exclusions_against_brute_force():
 
 
 def test_degenerate_reduction_is_the_closed_point_or_segment():
+    """Whatever the exclusions, the lift of a point has a == b == 0, that
+    of a horizontal segment a == 0 (a is the vertical extent) and that of a
+    vertical one b == 0; c is then the count itself, with m = 1."""
     for t in _degenerate_triangles():
-        if t.x_vertex == t.y_vertex:
-            expected = ("point", t.corner)
-        else:
-            expected = ("segment", t.leg_y if t.x_vertex == t.corner else t.leg_x)
+        expected = (t.y_vertex == t.corner, t.x_vertex == t.corner)
         for parts in _SUBSETS:
-            assert stable_right_reduction(t, parts) == expected, (t, sorted(parts))
+            a, b, c, m = triangles._corner_lift(*t, parts)
+            assert (a == 0, b == 0) == expected, (t, sorted(parts))
+            assert (c, m) == (stable_right_count(t, exclude=parts), 1), (t, sorted(parts))
 
 
-def test_exclusion_leaves_the_traced_reduction_closed():
+def test_excluded_reduction_is_the_quadrant_count_of_the_half_open_triangle():
     t = StableRightTriangle(corner=(F(1, 3), F(1, 2)), y_vertex=(F(1, 3), F(23, 4)),
                             x_vertex=(F(19, 2), F(1, 2)))
-    assert stable_right_reduction(t) == ("quadrant", (63, 110, 480))
-    kind, data = stable_right_reduction(t, {HYPOTENUSE, LEG_Y})
-    assert kind == "quadrant" and quadrant_count(*data) == stable_right_count(
+    a, b, c, m = triangles._corner_lift(*t, ())
+    assert (a, b, c // m) == (63, 110, 480)
+    a, b, c, m = triangles._corner_lift(*t, {HYPOTENUSE, LEG_Y})
+    assert (a, b, c // m) == (63, 110, 480)
+    assert quadrant_count(a, b, c // m) == stable_right_count(
         t, exclude={HYPOTENUSE, LEG_Y}) == 23
+
+
+@pytest.mark.parametrize("coords", [("0", "0", "0", "46/7", "46/3", "0"),
+                                    ("1", "1", "1", "1", "4", "1"),
+                                    ("1/2", "1/2", "1/2", "1/2", "1/2", "1/2")],
+                         ids=["quadrant", "segment", "point"])
+@pytest.mark.parametrize("flags", [[], ["--trace"], ["--exclude", "hyp,legy"],
+                                   ["--trace", "--exclude", "hyp,legx,legy"]])
+def test_rtri_request_makes_one_corner_lift(monkeypatch, coords, flags):
+    """One rtri request lifts its triangle's corner once: its count and its
+    trace read the same lift, through the CLI or through triangles."""
+    calls = []
+    lift = triangles._corner_lift
+    spy = lambda *args: calls.append(args) or lift(*args)
+    monkeypatch.setattr(triangles, "_corner_lift", spy)
+    monkeypatch.setattr(cli, "_corner_lift", spy)
+    assert cli.run(["rtri", *flags, "--", *coords]) == 0
+    assert len(calls) == 1, calls
 
 
 @st.composite
@@ -616,3 +636,32 @@ def test_half_open_stable_right_count_dilates_as_its_area():
 
             diff, expected = _dilation_second_difference(count, vertices, t)
             assert diff == expected, (vertices, sorted(parts))
+
+
+def test_segment_count_second_difference_anchored_by_enumeration():
+    """A closed segment S with endpoint denominators dividing L is an
+    Ehrhart polytope of dimension at most 1: f(t) = #(tS ∩ Z²) is linear on
+    each class t = r + k*L, so its second difference in steps of L is 0,
+    and the scanned counts for t < 2L give every count,
+    f(t) = f(r) + k*(f(r + L) - f(r)).  Checked on 60 segments (slanted,
+    axis-parallel and points) over L up to 12, each dilated by t below 2L,
+    up to 10**6 and of 300 digits."""
+    rng = random.Random(2030)
+    for i in range(60):
+        L = rng.randint(1, 12)
+        p, q = ((F(rng.randint(-2 * L, 2 * L), L), F(rng.randint(-2 * L, 2 * L), L))
+                for _ in range(2))
+        if i % 4 == 1:
+            q = (p[0], q[1])
+        elif i % 4 == 2:
+            q = (q[0], p[1])
+        elif i % 4 == 3:
+            q = p
+
+        def dilated(t, p=p, q=q):
+            return Segment((t * p[0], t * p[1]), (t * q[0], t * q[1]))
+
+        table = [brute_segment(dilated(t)) for t in range(2 * L)]
+        for t in (rng.randrange(2 * L), rng.randint(0, 10**6), rng.randrange(10**300)):
+            k, r = divmod(t, L)
+            assert segment_count(dilated(t)) == table[r] + k * (table[r + L] - table[r]), (p, q, t)

@@ -22,7 +22,6 @@ import re
 import sys
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout, suppress
-from operator import countOf
 
 from .kernel import quadrant_blocks, quadrant_count
 from .polygons import (
@@ -74,48 +73,57 @@ class CountReport(namedtuple("CountReport", ["shape", "count", "trace", "oracle"
         return out
 
 
+class _Ints(tuple):
+    """A trace's list of ints; both writers print its entries as decimal strings."""
+
+    __slots__ = ()
+
+
 def dumps_canonical(obj):
     """The one JSON writer: fixed key order (insertion), fixed separators.
 
     Counts are written as strings, so values of any size survive any JSON
-    reader: a list or tuple of ints is written as a list of decimal
-    strings.  A dict is written key by key under that rule; any other
-    value, a list of str among them, is written as json.dumps writes it,
-    so the output of json.loads round-trips unchanged."""
+    reader: an _Ints (thr's blocks and tail_terms, tetra's slices, semigroup's
+    gaps and apery) as a list of decimal strings.  A dict is written key by
+    key under that rule; any other value, a list of str among them, as
+    json.dumps writes it, so the output of json.loads round-trips unchanged."""
     import json  # loaded by the first --json request, not by import latticecount.cli
-    return _dumps(obj, json)
+    parts = []
+    _dumps(obj, parts.append, json)
+    return "".join(parts)
 
 
-# recursion goes through _dumps, not the module-level name, so that a
-# wrapper of dumps_canonical (bench/tracer.py times it) sees one call
-def _dumps(obj, json):
+# recursion goes through _dumps, not the module-level name, so that a wrapper of
+# dumps_canonical (bench/tracer.py times it) sees one call; its fragments are joined once
+def _dumps(obj, write, json):
     if type(obj) is dict:
-        quote = json.encoder.encode_basestring_ascii
-        return "{%s}" % ", ".join(["%s: %s" % (quote(key), _dumps(value, json))
-                                   for key, value in obj.items()])
-    if _is_int_list(obj):
-        return _ints_text(obj, '", "', '["', '"]')
-    return json.dumps(obj)
-
-
-def _is_int_list(value):
-    """True for a non-empty list or tuple of ints, bools excluded."""
-    return (type(value) in (list, tuple) and len(value) > 0
-            and countOf(map(type, value), int) == len(value))
+        write("{")
+        for i, (key, value) in enumerate(obj.items()):
+            write(f"{', ' if i else ''}{json.encoder.encode_basestring_ascii(key)}: ")
+            _dumps(value, write, json)
+        write("}")
+    elif type(obj) is _Ints:
+        write(_ints_text(obj, '", "', '["', '"]') or "[]")
+    else:
+        write(json.dumps(obj))
 
 
 def _ints_text(values, sep=", ", head="", tail=""):
-    """The ints written in one printf pass: %d puts each int's digits
-    straight into the output, with no str built per entry."""
-    return (head + "%d" + (sep + "%d") * (len(values) - 1) + tail) % tuple(values)
+    """The ints written in one printf pass, "" for none: %d puts each int's
+    digits straight into the output, with no str built per entry."""
+    return (head + "%d" + (sep + "%d") * (len(values) - 1) + tail) % values if values else ""
 
 
 def render_text(report):
+    """The report as text, a line per trace entry: an _Ints prints as its
+    decimal strings, a list of names (rtri's excluded) as its names, joined by ", "."""
     lines = [f"{report.shape}: {report.count}"]
     if report.trace:
         for key, value in report.trace.items():
-            if type(value) in (list, tuple):
-                value = _ints_text(value) if _is_int_list(value) else ", ".join(value)
+            if type(value) is _Ints:
+                value = _ints_text(value)
+            elif type(value) in (list, tuple):
+                value = ", ".join(value)
             lines.append(f"  {key}: {value}".rstrip())
     if report.oracle is not None:
         verdict = "agreed" if report.agreed else "DISAGREED"
@@ -165,8 +173,8 @@ def _thr_query(args, a, b, c):
     if args.trace:
         k, r = divmod(max(c, 0), a * b)
         _check_trace_size(k + 2 + r // max(a, b))  # k + 1 blocks, r // max(a, b) + 1 tail terms
-        blocks = quadrant_blocks(a, b, c)
-        trace = {"k": blocks.k, "blocks": blocks.block_counts, "tail_terms": blocks.tail_terms}
+        k, blocks, tail = quadrant_blocks(a, b, c)
+        trace = {"k": k, "blocks": _Ints(blocks), "tail_terms": _Ints(tail)}
     return _Query(f"thr({a}, {b}, {c})", count, trace,
                   lambda oracle, budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget))
 
@@ -219,7 +227,7 @@ def _tetra_query(args, a1, a2, a3, b):
         if min(a1, a2, a3) >= 1:  # else tetra_slice_counts rejects the generators
             _check_trace_size(b // max(a1, a2, a3) + 1)
         slices = tetra_slice_counts(a1, a2, a3, b)
-        count, trace = sum(slices), {"slices": slices}
+        count, trace = sum(slices), {"slices": _Ints(slices)}
     else:
         count, trace = tetra_count(a1, a2, a3, b), None
     return _Query(f"tetra({a1}, {a2}, {a3}; {b})", count, trace,
@@ -252,7 +260,7 @@ def _semigroup_query(args, a, b):
     if args.gaps:
         _check_trace_size(sg.genus, "--gaps")
         gaps = sg.gaps()
-        return _Query(shape + " gaps", len(gaps), {"gaps": gaps},
+        return _Query(shape + " gaps", len(gaps), {"gaps": _Ints(gaps)},
                       lambda oracle, budget: len(oracle.brute_gaps(a, b, budget=budget)))
     if args.apery is not None:
         s = parse_int(args.apery)
@@ -260,7 +268,7 @@ def _semigroup_query(args, a, b):
             _check_trace_size(s, "--apery")
         ap = sg.apery(s)
         # the count is the set's sum: a checksum that detects any wrong element
-        return _Query(shape + f" apery({s})", sum(ap), {"apery": ap},
+        return _Query(shape + f" apery({s})", sum(ap), {"apery": _Ints(ap)},
                       lambda oracle, budget: sum(oracle.brute_apery(a, b, s, budget=budget)))
     if args.contains is not None:
         n = parse_int(args.contains)

@@ -121,10 +121,6 @@ class BlockTrace(namedtuple("BlockTrace", ["k", "block_counts", "tail_terms"])):
 
     __slots__ = ()
 
-    @property
-    def total(self):
-        return sum(self.block_counts)
-
 
 def quadrant_blocks(a, b, c):
     """Block decomposition of the quadrant count; empty for c < 0."""

@@ -94,12 +94,10 @@ def brute_rect(lo, hi, budget=DEFAULT_CELL_BUDGET):
                if x0 <= x * scale <= x1 and y0 <= y * scale <= y1)
 
 
-def brute_triangle(t, include_boundary=True, exclude_segments=(),
-                   budget=DEFAULT_CELL_BUDGET):
+def brute_triangle(t, exclude_segments=(), budget=DEFAULT_CELL_BUDGET):
     """Count integral points of a closed triangle by scanning its bounding
     box with exact half-plane sign tests.
 
-    include_boundary=False counts strictly interior points instead.
     exclude_segments removes the points lying on any of the given
     segments from the (closed) count.
     """
@@ -114,16 +112,15 @@ def brute_triangle(t, include_boundary=True, exclude_segments=(),
         for y in yr:
             p = (x * scale, y * scale)
             if orient == 0:
-                inside = include_boundary and any(_on_segment(p, a, b) for a, b in edges)
+                inside = any(_on_segment(p, a, b) for a, b in edges)
             else:
-                least = min(_cross(a, b, p) * orient for a, b in edges)
-                inside = least >= 0 if include_boundary else least > 0
+                inside = min(_cross(a, b, p) * orient for a, b in edges) >= 0
             if inside and not any(_on_segment(p, a, b) for a, b in excl):
                 count += 1
     return count
 
 
-def brute_polygon(p, include_boundary=True, budget=DEFAULT_CELL_BUDGET):
+def brute_polygon(p, budget=DEFAULT_CELL_BUDGET):
     """Count integral points of a closed simple polygon by scanning its box.
 
     Points on an edge are detected exactly; other points are classified by
@@ -140,8 +137,7 @@ def brute_polygon(p, include_boundary=True, budget=DEFAULT_CELL_BUDGET):
         for y in yr:
             pt = (x * scale, y * scale)
             if any(_on_segment(pt, u, v) for u, v in edges):
-                if include_boundary:
-                    count += 1
+                count += 1
                 continue
             crossings = 0
             for u, v in edges:

@@ -678,6 +678,19 @@ GOLDEN = [
      '{"shape": "semigroup(3, 7) upto(46)", "count": "41"}\n'),
     ('semigroup 3 7 --upto 46 --check',
      'semigroup(3, 7) upto(46): 41\n  oracle: 41 (agreed)\n'),
+    # empty int lists: nothing after the colon in text, [] in JSON
+    ('thr 3 7 -1 --trace',
+     'thr(3, 7, -1): 0\n  k: 0\n  blocks:\n  tail_terms:\n'),
+    ('thr 3 7 -1 --trace --json',
+     '{"shape": "thr(3, 7, -1)", "count": "0", "trace": {"k": 0, "blocks": [], "tail_terms": []}}\n'),
+    ('tetra 6 10 15 -1 --trace',
+     'tetra(6, 10, 15; -1): 0\n  slices:\n'),
+    ('tetra 6 10 15 -1 --trace --json',
+     '{"shape": "tetra(6, 10, 15; -1)", "count": "0", "trace": {"slices": []}}\n'),
+    ('semigroup 1 5 --gaps',
+     'semigroup(1, 5) gaps: 0\n  gaps:\n'),
+    ('semigroup 1 5 --gaps --json',
+     '{"shape": "semigroup(1, 5) gaps", "count": "0", "trace": {"gaps": []}}\n'),
     ('pick {pick}',
      'pick(n=3): 8\n  area: 11/2\n  interior: 5\n  boundary: 3\n  holds: True\n'),
     ('pick {pick} --json',
@@ -846,9 +859,9 @@ def test_run_restores_the_callers_digit_limit(capsys, argv):
 
 
 # --- the writers ---------------------------------------------------------------
-# A trace list of ints reaches dumps_canonical and render_text as ints; each
-# writes it in one printf pass.  The reference is the rendering of the list
-# of strs that the queries used to build.
+# A query marks each list of ints in its trace as a cli._Ints, and both
+# writers print one in one printf pass.  The reference is the rendering of
+# the list of strs that the queries used to build.
 
 
 def _old_json(obj):
@@ -865,11 +878,9 @@ _HUGE_INT = st.builds(lambda digits, sign: sign * (10**digits - 7),
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.one_of(st.integers(), st.sampled_from([0, -1, 1]), _HUGE_INT), max_size=12),
-       st.booleans())
-def test_writers_render_int_lists_as_their_strs(values, as_tuple):
-    values = tuple(values) if as_tuple else values  # thr's blocks are tuples
-    report = cli.CountReport("shape", 7, {"slices": values})
+@given(st.lists(st.one_of(st.integers(), st.sampled_from([0, -1, 1]), _HUGE_INT), max_size=12))
+def test_writers_render_int_lists_as_their_strs(values):
+    report = cli.CountReport("shape", 7, {"slices": cli._Ints(values)})
     with no_digit_limit():
         strs = [str(v) for v in values]
         assert cli.dumps_canonical(report.to_dict()) == _old_json(
@@ -877,12 +888,95 @@ def test_writers_render_int_lists_as_their_strs(values, as_tuple):
         assert cli.render_text(report) == _old_text(report, "slices", values)
 
 
+def _reports(monkeypatch, capsys, argv):
+    """Run one request; its exit code, stdout and the reports it built."""
+    reports, real = [], cli.CountReport
+    monkeypatch.setattr(cli, "CountReport", lambda *fields: reports.append(real(*fields))
+                        or reports[-1])
+    code, out, err = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "CountReport", real)
+    assert err == "", err
+    return code, out, reports
+
+
+def _str_rendering(report, json_mode):
+    """The report as the queries wrote it when their int lists held the
+    str of each entry."""
+    trace = {key: [str(v) for v in value] if type(value) is cli._Ints else value
+             for key, value in report.trace.items()}
+    if json_mode:
+        return _old_json({"shape": report.shape, "count": str(report.count), "trace": trace})
+    return "\n".join([f"{report.shape}: {report.count}"]
+                     + [f"  {key}: {', '.join(value) if type(value) is list else value}".rstrip()
+                        for key, value in trace.items()])
+
+
+_INT_LIST_TRACES = [
+    ("thr", "3", "7", "46"), ("thr", "3", "7", "-1"), ("thr", "1", "1", "0"),
+    ("thr", "5", "2", "1234"), ("thr", "1000003", "1000033", "2000077000363"),
+    ("tetra", "6", "10", "15", "21"), ("tetra", "6", "10", "15", "-1"),
+    ("tetra", "4", "6", "7", "150"), ("tetra", "9", "11", "17", "6467"),
+    ("tetra", "1", "1", "1", "0"),
+    ("semigroup", "3", "7", "--gaps"), ("semigroup", "1", "5", "--gaps"),
+    ("semigroup", "2", "3", "--gaps"), ("semigroup", "17", "31", "--gaps"),
+    ("semigroup", "3", "7", "--apery", "3"), ("semigroup", "3", "7", "--apery", "7"),
+    ("semigroup", "1", "5", "--apery", "1"), ("semigroup", "17", "31", "--apery", "31"),
+]
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("argv", _INT_LIST_TRACES, ids=" ".join)
+def test_int_list_traces_print_as_their_strs(monkeypatch, capsys, argv, json_mode):
+    """thr's blocks and tail terms, tetra's slices and semigroup's gaps and
+    Apery set, empty lists included, print byte for byte as the str of
+    each entry, in text and in JSON."""
+    flags = ["--trace"] + ["--json"] * json_mode
+    code, out, (report,) = _reports(monkeypatch, capsys, [*argv, *flags])
+    assert code == 0
+    lists = [value for value in report.trace.values() if type(value) is cli._Ints]
+    assert lists and all(type(v) is int for value in lists for v in value)
+    with no_digit_limit():
+        assert out == _str_rendering(report, json_mode) + "\n"
+
+
+def test_no_trace_holds_a_plain_list_of_ints(monkeypatch, capsys, tmp_path):
+    """Every query's trace holds its int lists as cli._Ints, so the writers
+    choose a format by type alone: any other list or tuple holds names."""
+    path = tmp_path / "pent.txt"
+    path.write_text("0 0\n4 0\n5 3\n2 5\n-1 3\n")
+    requests = [
+        *_INT_LIST_TRACES,
+        ("rect", "1/2", "-6/5", "7/2", "1"),
+        ("rtri", "0", "0", "0", "46/7", "46/3", "0", "--exclude", "hyp,legx"),
+        ("rtri", "1", "1", "1", "1", "4", "1", "--exclude", "legy"),
+        ("tri", "0", "0", "4", "1", "1", "3"),
+        ("poly", str(path)), ("pick", str(path)),
+        ("denumerant", "3", "7", "46"), ("denumerant3", "6", "10", "15", "60"),
+        ("semigroup", "3", "7"), ("semigroup", "3", "7", "--contains", "11"),
+        ("semigroup", "3", "7", "--upto", "46"),
+    ]
+    assert {argv[0] for argv in requests} == {row.name for row in cli.SUBCOMMANDS}
+    traces = 0
+    for argv in requests:
+        code, _, (report,) = _reports(monkeypatch, capsys, [*argv, "--trace"])
+        assert code == 0, argv
+        for value in (report.trace or {}).values():
+            traces += 1
+            if type(value) is cli._Ints:
+                assert all(type(v) is int for v in value), argv
+            elif isinstance(value, (list, tuple)):
+                assert all(type(v) is str for v in value), argv
+    assert traces > len(requests)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.dictionaries(st.text(), st.one_of(st.lists(st.text()), st.text(), st.booleans(),
-                                            st.integers(), st.none()), max_size=4))
+                                            st.integers(), st.none(), st.lists(st.integers())),
+                      max_size=4))
 def test_dumps_canonical_writes_names_as_json_dumps_does(obj):
-    """Lists of str, and every other value that is not a list of ints, take
-    json.dumps's path: non-ASCII text, empty lists and scalars included."""
+    """Lists of str, and every other value that is not a cli._Ints, take
+    json.dumps's path: non-ASCII text, empty lists, plain lists of ints and
+    scalars included."""
     assert cli.dumps_canonical(obj) == _old_json(obj)
     assert cli.dumps_canonical({"trace": obj}) == _old_json({"trace": obj})
 

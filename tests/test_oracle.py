@@ -40,16 +40,13 @@ def test_brute_triangle_examples():
     assert oracle.brute_triangle(Triangle((0, 0), (1, 0), (1, 1))) == 3
     assert oracle.brute_triangle(Triangle((0, 0), (4, 1), (1, 3))) == 8
     assert oracle.brute_triangle(Triangle((0, 0), (2, 2), (1, 1))) == 3
-    assert oracle.brute_triangle(Triangle((0, 0), (3, 0), (0, 3)), include_boundary=False) == 1
 
 
 def test_brute_polygon_examples():
     square = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
     assert oracle.brute_polygon(square) == 4
-    assert oracle.brute_polygon(square, include_boundary=False) == 0
     big = Polygon(((0, 0), (3, 0), (3, 3), (0, 3)))
     assert oracle.brute_polygon(big) == 16
-    assert oracle.brute_polygon(big, include_boundary=False) == 4
 
 
 def test_brute_segment_and_rect():
@@ -182,9 +179,7 @@ def test_integer_oracle_matches_the_fraction_reference():
             segs = [_Seg(*(_as_given(rng, e) for e in pq)) for pq in excl]
         else:
             shape, segs = Triangle(*verts), [Segment(*pq) for pq in excl]
-        for include_boundary in (True, False):
-            assert (oracle.brute_triangle(shape, include_boundary)
-                    == reference_triangle(shape, include_boundary)), shape
+        assert oracle.brute_triangle(shape) == reference_triangle(shape), shape
         assert (oracle.brute_triangle(shape, exclude_segments=segs)
                 == reference_triangle(shape, exclude_segments=segs)), (shape, segs)
     for i in range(120):
@@ -195,9 +190,7 @@ def test_integer_oracle_matches_the_fraction_reference():
                 shape = Polygon(verts)
             except ValueError:  # a repeated vertex, or not simple after rounding
                 pass
-        for include_boundary in (True, False):
-            assert (oracle.brute_polygon(shape, include_boundary)
-                    == reference_polygon(shape, include_boundary)), shape
+        assert oracle.brute_polygon(shape) == reference_polygon(shape), shape
 
 
 def test_planar_oracles_build_fractions_per_vertex_not_per_cell(monkeypatch):

@@ -5,89 +5,73 @@ All arithmetic is exact: every count runs on unbounded ints, on the
 rational input points scaled to integers.  Every shape is scaled once, at
 construction, and holds its integer points; its Fraction vertices are
 built only when read.  Every count the CLI reports has an independent
-brute-force twin in latticecount.oracle, the one --check runs; the
-module is imported when it is first read, not with the package.
+brute-force twin in latticecount.oracle, the one --check runs.
+
+import latticecount loads no submodule.  Each public name, and each
+submodule, is imported when it is first read, by attribute, by
+from-import or by a star import, and is then a plain attribute of the
+package: latticecount.X is latticecount.<submodule>.X.
 """
 
 import importlib
 
-from .kernel import BlockTrace, floor_sum, quadrant_blocks, quadrant_count
-from .rationals import format_rational, parse_rational
-from .semigroup import TwoGenSemigroup, denumerant2
-from .triangles import (
-    HYPOTENUSE,
-    LEG_X,
-    LEG_Y,
-    Segment,
-    StableRightTriangle,
-    rect_count,
-    segment_count,
-    stable_right_count,
-)
-from .polygons import (
-    CASE_DEGENERATE,
-    CASE_ONE_CORNER,
-    CASE_STABLE,
-    CASE_TWO_ADJACENT,
-    CASE_TWO_OPPOSITE,
-    TRIANGLE_CASES,
-    PickAudit,
-    Polygon,
-    Triangle,
-    pick_audit,
-    polygon_count,
-    polygon_from_text,
-    signed_area2,
-    triangle_case,
-    triangle_count,
-)
-from .tetra import denumerant3, tetra_count, tetra_slice_counts
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "parse_rational",
-    "format_rational",
-    "TwoGenSemigroup",
-    "denumerant2",
-    "Segment",
-    "BlockTrace",
-    "StableRightTriangle",
-    "HYPOTENUSE",
-    "LEG_X",
-    "LEG_Y",
-    "floor_sum",
-    "quadrant_count",
-    "quadrant_blocks",
-    "rect_count",
-    "segment_count",
-    "stable_right_count",
-    "Triangle",
-    "Polygon",
-    "PickAudit",
-    "TRIANGLE_CASES",
-    "CASE_DEGENERATE",
-    "CASE_STABLE",
-    "CASE_TWO_ADJACENT",
-    "CASE_TWO_OPPOSITE",
-    "CASE_ONE_CORNER",
-    "triangle_case",
-    "triangle_count",
-    "polygon_count",
-    "pick_audit",
-    "polygon_from_text",
-    "signed_area2",
-    "tetra_count",
-    "tetra_slice_counts",
-    "denumerant3",
-    "oracle",
-    "__version__",
-]
+# each public name of a submodule -> that submodule, in __all__'s order
+_HOME = {
+    "parse_rational": "rationals",
+    "format_rational": "rationals",
+    "TwoGenSemigroup": "semigroup",
+    "denumerant2": "semigroup",
+    "Segment": "triangles",
+    "BlockTrace": "kernel",
+    "StableRightTriangle": "triangles",
+    "HYPOTENUSE": "triangles",
+    "LEG_X": "triangles",
+    "LEG_Y": "triangles",
+    "floor_sum": "kernel",
+    "quadrant_count": "kernel",
+    "quadrant_blocks": "kernel",
+    "rect_count": "triangles",
+    "segment_count": "triangles",
+    "stable_right_count": "triangles",
+    "Triangle": "polygons",
+    "Polygon": "polygons",
+    "PickAudit": "polygons",
+    "TRIANGLE_CASES": "polygons",
+    "CASE_DEGENERATE": "polygons",
+    "CASE_STABLE": "polygons",
+    "CASE_TWO_ADJACENT": "polygons",
+    "CASE_TWO_OPPOSITE": "polygons",
+    "CASE_ONE_CORNER": "polygons",
+    "triangle_case": "polygons",
+    "triangle_count": "polygons",
+    "polygon_count": "polygons",
+    "pick_audit": "polygons",
+    "polygon_from_text": "polygons",
+    "signed_area2": "polygons",
+    "tetra_count": "tetra",
+    "tetra_slice_counts": "tetra",
+    "denumerant3": "tetra",
+}
+
+_SUBMODULES = frozenset((*_HOME.values(), "cli", "oracle"))
+
+__all__ = [*_HOME, "oracle", "__version__"]
 
 
 def __getattr__(name):
-    """latticecount.oracle, imported on first use: only --check runs it, so
-    import latticecount.cli does not compile it."""
-    if name == "oracle":
-        return importlib.import_module(".oracle", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A public name or a submodule, imported on its first read and kept
+    as a module global, so that later reads do not come here."""
+    if name in _HOME:
+        value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

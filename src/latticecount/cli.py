@@ -8,8 +8,10 @@ listed in one row of the SUBCOMMANDS table; build_parser and run read
 that table and hold no per-subcommand code.
 
 A one-shot call costs mostly the interpreter's start and this module's
-import, so the import loads only what every request runs: the first
---check imports latticecount.oracle, and the first --json imports json.
+import, so the import loads only what every request runs: this module and
+latticecount.rationals.  Each query imports its library modules when it
+runs, the first --check imports latticecount.oracle, and the first --json
+imports json.
 
 Exit codes: 0 success, 1 input error, 2 the brute-force check disagreed
 with the reported count.
@@ -23,30 +25,7 @@ import sys
 from collections import namedtuple
 from contextlib import redirect_stderr, redirect_stdout, suppress
 
-from .kernel import quadrant_blocks, quadrant_count
-from .polygons import (
-    Triangle,
-    edge_sum,
-    pick_audit,
-    polygon_count,
-    polygon_from_text,
-    triangle_case,
-    triangle_count,
-)
-from .rationals import format_rational, parse_int, parse_ratio
-from .semigroup import TwoGenSemigroup
-from .tetra import denumerant3, tetra_count, tetra_slice_counts
-from .triangles import (
-    HYPOTENUSE,
-    LEG_X,
-    LEG_Y,
-    Segment,
-    StableRightTriangle,
-    _corner_lift,
-    rect_count,
-)
-
-_EXCLUDE_PARTS = {"hyp": HYPOTENUSE, "legx": LEG_X, "legy": LEG_Y}
+from .rationals import parse_int, parse_ratio
 
 # the most entries a --trace may list: thr's blocks and tail terms, tetra's slices
 TRACE_LIMIT = 10**6
@@ -135,6 +114,7 @@ def render_text(report):
 
 
 def _read_polygon(path):
+    from .polygons import polygon_from_text
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -144,13 +124,15 @@ def _read_polygon(path):
 
 
 def _parse_exclude(values):
+    from .triangles import HYPOTENUSE, LEG_X, LEG_Y
+    named = {"hyp": HYPOTENUSE, "legx": LEG_X, "legy": LEG_Y}
     parts = set()
     for value in values or ():
         for token in value.split(","):
             token = token.strip()
-            if token not in _EXCLUDE_PARTS:
+            if token not in named:
                 raise ValueError(f"unknown boundary part {token!r} (use hyp, legx, legy)")
-            parts.add(_EXCLUDE_PARTS[token])
+            parts.add(named[token])
     return parts
 
 
@@ -169,6 +151,7 @@ _Query = namedtuple("_Query", ["shape", "count", "trace", "oracle"])
 
 
 def _thr_query(args, a, b, c):
+    from .kernel import quadrant_blocks, quadrant_count
     count, trace = quadrant_count(a, b, c), None
     if args.trace:
         k, r = divmod(max(c, 0), a * b)
@@ -180,12 +163,15 @@ def _thr_query(args, a, b, c):
 
 
 def _rect_query(args, x0, y0, x1, y1):
+    from .triangles import Segment, rect_count
     return _Query(f"rect({x0}, {y0}, {x1}, {y1})", rect_count((x0, y0), (x1, y1)), None,
                   lambda oracle, budget: oracle.brute_rect(
                       *Segment((x0, y0), (x1, y1)).vertices, budget=budget))
 
 
 def _rtri_query(args, ax, ay, bx, by, cx, cy):
+    from .kernel import quadrant_count
+    from .triangles import StableRightTriangle, _corner_lift
     tri = StableRightTriangle(corner=(ax, ay), y_vertex=(bx, by), x_vertex=(cx, cy))
     parts = _parse_exclude(args.exclude)
     # one corner lift gives the count, as stable_right_count makes it, and
@@ -206,6 +192,7 @@ def _rtri_query(args, ax, ay, bx, by, cx, cy):
 
 
 def _tri_query(args, x1, y1, x2, y2, x3, y3):
+    from .polygons import Triangle, triangle_case, triangle_count
     tri = Triangle((x1, y1), (x2, y2), (x3, y3))
     return _Query(f"tri({x1}, {y1}, {x2}, {y2}, {x3}, {y3})", triangle_count(tri),
                   {"case": triangle_case(tri)} if args.trace else None,
@@ -213,6 +200,7 @@ def _tri_query(args, x1, y1, x2, y2, x3, y3):
 
 
 def _poly_query(args, poly):
+    from .polygons import edge_sum, polygon_count
     if args.trace:  # one edge-sum pass gives the count and its named terms
         terms = edge_sum(poly)
         count, trace = sum(terms), dict(zip(terms._fields, map(str, terms)))
@@ -223,6 +211,7 @@ def _poly_query(args, poly):
 
 
 def _tetra_query(args, a1, a2, a3, b):
+    from .tetra import tetra_count, tetra_slice_counts
     if args.trace:  # one slice pass gives the count and the slices
         if min(a1, a2, a3) >= 1:  # else tetra_slice_counts rejects the generators
             _check_trace_size(b // max(a1, a2, a3) + 1)
@@ -235,11 +224,13 @@ def _tetra_query(args, a1, a2, a3, b):
 
 
 def _denumerant_query(args, a, b, c):
+    from .semigroup import TwoGenSemigroup
     return _Query(f"denumerant({c}; {a}, {b})", TwoGenSemigroup(a, b).denumerant(c), None,
                   lambda oracle, budget: oracle.brute_denumerant2(a, b, c, budget=budget))
 
 
 def _denumerant3_query(args, a1, a2, a3, n):
+    from .tetra import denumerant3
     return _Query(f"denumerant({n}; {a1}, {a2}, {a3})", denumerant3(a1, a2, a3, n), None,
                   lambda oracle, budget: oracle.brute_denumerant3(a1, a2, a3, n, budget=budget))
 
@@ -255,6 +246,7 @@ def _semigroup_options(sp):
 def _semigroup_query(args, a, b):
     """The one semigroup query the mode flags select; its list or
     invariants are always shown."""
+    from .semigroup import TwoGenSemigroup
     sg = TwoGenSemigroup(a, b)
     shape = f"semigroup({a}, {b})"
     if args.gaps:
@@ -284,6 +276,8 @@ def _semigroup_query(args, a, b):
 
 
 def _pick_query(args, poly):
+    from .polygons import pick_audit
+    from .rationals import format_rational
     audit = pick_audit(poly)
     trace = {"area": format_rational(audit.area), "interior": str(audit.interior),
              "boundary": str(audit.boundary), "holds": audit.holds}
@@ -302,8 +296,9 @@ class Subcommand(namedtuple("Subcommand", ["name", "help", "args", "parse", "que
     in `args`.  `query` is called with the namespace and the parsed
     positionals; it returns the shape, the count, the trace (None unless
     shown) and the oracle, a function of the oracle module and the cell
-    budget.  The queries look library and oracle functions up when they
-    run, not at import, so patching a module global reaches them.
+    budget.  A query imports its library functions when it runs, each
+    from the module that defines it, and the oracle's are read from the
+    module it is given, so patching a global of that module reaches them.
     `options` adds the subcommand's own flags to its parser.
     """
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import no_digit_limit, rand_rational
-from latticecount import cli, oracle, polygons, tetra, triangles
+from latticecount import cli, kernel, oracle, polygons, tetra, triangles
 from latticecount.triangles import quadrant_count, rect_count
 
 
@@ -223,8 +223,8 @@ def test_thr_trace_of_negative_bound_is_sized_as_empty(capsys):
     ("thr", "3", "7", "1000000000000000"),
 ])
 def test_trace_over_the_limit_exits_1(capsys, monkeypatch, argv):
-    slices = _count_calls(monkeypatch, (cli,), "tetra_slice_counts")
-    blocks = _count_calls(monkeypatch, (cli,), "quadrant_blocks")
+    slices = _count_calls(monkeypatch, (tetra,), "tetra_slice_counts")
+    blocks = _count_calls(monkeypatch, (kernel,), "quadrant_blocks")
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv, "--trace")
     assert time.perf_counter() - start < 1
@@ -292,8 +292,8 @@ def _count_calls(monkeypatch, modules, name):
 def test_poly_trace_runs_the_edge_sum_once(capsys, monkeypatch, tmp_path, trace):
     path = tmp_path / "pent.txt"
     path.write_text("0 0\n4 0\n5 3\n2 5\n-1 3\n")
-    passes = _count_calls(monkeypatch, (cli, polygons), "edge_sum")
-    triangles = _count_calls(monkeypatch, (cli, polygons), "triangle_count")
+    passes = _count_calls(monkeypatch, (polygons,), "edge_sum")
+    triangles = _count_calls(monkeypatch, (polygons,), "triangle_count")
     code, out, _ = run_cli(capsys, "poly", str(path), *(["--trace"] if trace else []))
     assert code == 0 and out.startswith("poly(n=5): 26\n")
     assert (len(passes), len(triangles)) == (1, 0)
@@ -352,8 +352,8 @@ def test_shape_request_scales_once_and_builds_no_fraction(capsys, monkeypatch, a
 
 
 def test_tetra_trace_is_one_slice_pass(capsys, monkeypatch):
-    passes = _count_calls(monkeypatch, (cli, tetra), "tetra_slice_counts")
-    counts = _count_calls(monkeypatch, (cli, tetra), "tetra_count")
+    passes = _count_calls(monkeypatch, (tetra,), "tetra_slice_counts")
+    counts = _count_calls(monkeypatch, (tetra,), "tetra_count")
     code, out, _ = run_cli(capsys, "tetra", "5", "7", "12", "100", "--trace")
     assert code == 0 and out.startswith("tetra(5, 7, 12; 100): ")
     assert (len(passes), len(counts)) == (1, 0)
@@ -512,6 +512,24 @@ def test_run_writes_argparse_output_to_its_streams(capsys, argv, code):
     assert silent.getvalue() == ""
     captured = capsys.readouterr()
     assert captured.out == captured.err == ""
+
+
+def test_run_keeps_no_state_between_calls(monkeypatch):
+    """run holds nothing from one call to the next: in one process, help,
+    a usage error, an unknown subcommand, a request and help again each
+    return the exit code and write the bytes that call writes in a fresh
+    interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["-h"], ["tri", "1"], ["frobnicate"], ["tri", "0", "0", "4", "1", "1", "3"],
+                 ["-h"]):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.run(argv, out, err)
+        fresh = subprocess.run([sys.executable, "-m", "latticecount.cli", *argv], env=env,
+                               capture_output=True)
+        assert (code, out.getvalue().encode(), err.getvalue().encode()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_unknown_subcommand_is_input_error(capsys):

@@ -8,6 +8,8 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "latticecount"
 
@@ -106,18 +108,79 @@ def _fresh(code):
                           text=True, check=True).stdout
 
 
+# the package modules that import latticecount.cli leaves unloaded, but for the oracle
+LIBRARY = ("kernel", "triangles", "polygons", "semigroup", "tetra")
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     """Every CLI call pays for the package's imports.  In a fresh
     interpreter, import latticecount.cli loads neither dataclasses nor
     inspect, which would add about 15 ms to it (inspect brings ast, dis
     and tokenize).  Nor does it load what only some requests run: the
-    oracle, which the first --check imports, json, which the first
-    --json imports, and fractions, which only pick and --check build.
-    Modules the interpreter loads before the import do not count."""
+    library modules, which each query imports when it runs, the oracle,
+    which the first --check imports, json, which the first --json
+    imports, and fractions, which only pick and --check build.  Modules
+    the interpreter loads before the import do not count."""
+    unwanted = {"dataclasses", "inspect", "json", "latticecount.oracle", "fractions",
+                *("latticecount." + name for name in LIBRARY)}
     code = ("import sys; before = set(sys.modules); import latticecount.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json', 'latticecount.oracle', 'fractions'}"
-            " & (set(sys.modules) - before)))")
+            f"print(sorted({unwanted!r} & (set(sys.modules) - before)))")
     assert _fresh(code) == "[]\n"
+
+
+@pytest.mark.parametrize("line, loaded", [
+    ("thr 3 7 46", "kernel"),
+    ("rect -- -0.5 -6/5 3.25 1", "kernel triangles"),
+    ("rtri 0 0 0 46/7 46/3 0 --exclude hyp --trace", "kernel triangles"),
+    ("tri 0 0 4 1 1 3", "kernel polygons triangles"),
+    ("poly SHAPE --trace", "kernel polygons triangles"),
+    ("pick SHAPE", "kernel polygons triangles"),
+    ("tetra 6 10 15 21 --trace", "kernel tetra"),
+    ("denumerant3 3 5 7 10", "kernel tetra"),
+    ("denumerant 3 7 46", "kernel semigroup"),
+    ("semigroup 3 7 --gaps", "kernel semigroup"),
+    ("-h", ""),
+    ("tri 1", ""),
+])
+def test_a_request_loads_only_its_own_modules(tmp_path, line, loaded):
+    """In a fresh interpreter, one request of a subcommand loads, beside
+    cli and rationals, only the library modules its count runs; the help
+    and a usage error load none of them."""
+    path = tmp_path / "shape.txt"
+    path.write_text("0 0\n4 0\n4 3\n0 3\n")
+    argv = line.replace("SHAPE", str(path)).split()
+    code = ("import io, sys; import latticecount.cli as cli; "
+            f"print(cli.run({argv!r}, io.StringIO(), io.StringIO())); "
+            "print(sorted(m.split('.')[1] for m in sys.modules if m.startswith('latticecount.')))")
+    exit_code = 1 if line == "tri 1" else 0
+    assert _fresh(code) == f"{exit_code}\n{sorted(['cli', 'rationals', *loaded.split()])}\n"
+
+
+def test_package_names_resolve_on_first_read():
+    """import latticecount loads no submodule, and dir() lists __all__.  A
+    submodule resolves after the bare import, every __all__ name is the
+    object its defining module holds, read once and then kept as a package
+    global, and a star import binds every __all__ name."""
+    homes = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                homes[node.name] = path.stem
+            elif isinstance(node, ast.Assign):
+                homes.update((target.id, path.stem) for target in node.targets
+                             if isinstance(target, ast.Name))
+    code = ("import importlib, sys, latticecount as pkg; "
+            "print(sorted(m for m in sys.modules if m.startswith('latticecount.'))); "
+            "print(set(pkg.__all__) <= set(dir(pkg))); "
+            "print(pkg.polygons is sys.modules['latticecount.polygons']); "
+            f"homes = {homes!r}; "
+            "names = [n for n in pkg.__all__ if n not in ('oracle', '__version__')]; "
+            "print([n for n in names if getattr(pkg, n) is not "
+            "getattr(importlib.import_module('latticecount.' + homes[n]), n)]); "
+            "print([n for n in names if n not in vars(pkg)]); "
+            "star = {}; exec('from latticecount import *', star); "
+            "print(sorted(set(pkg.__all__) - set(star)))")
+    assert _fresh(code) == "[]\nTrue\nTrue\n[]\n[]\n[]\n"
 
 
 def test_requests_but_pick_and_check_load_no_fractions(tmp_path):

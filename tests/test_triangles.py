@@ -534,7 +534,6 @@ def test_rtri_request_makes_one_corner_lift(monkeypatch, coords, flags):
     lift = triangles._corner_lift
     spy = lambda *args: calls.append(args) or lift(*args)
     monkeypatch.setattr(triangles, "_corner_lift", spy)
-    monkeypatch.setattr(cli, "_corner_lift", spy)
     assert cli.run(["rtri", *flags, "--", *coords]) == 0
     assert len(calls) == 1, calls
 

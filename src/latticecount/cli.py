@@ -37,18 +37,17 @@ TRACE_LIMIT = 10**6
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
-class CountReport(namedtuple("CountReport", ["shape", "count", "trace", "oracle", "agreed"],
-                             defaults=(None, None, None))):
+class CountReport(namedtuple("CountReport", ["shape", "count", "trace", "oracle"],
+                             defaults=(None, None))):
     __slots__ = ()
+    agreed = property(lambda self: None if self.oracle is None else self.count == self.oracle)
 
     def to_dict(self):
         out = {"shape": self.shape, "count": str(self.count)}
         if self.trace is not None:
             out["trace"] = self.trace
-        if self.oracle is not None:
-            out["oracle"] = str(self.oracle)
-        if self.agreed is not None:
-            out["agreed"] = self.agreed
+        if self.oracle is not None:  # oracle before agreed, the canonical key order
+            out["oracle"], out["agreed"] = str(self.oracle), self.agreed
         return out
 
 
@@ -418,7 +417,7 @@ def _run(argv, out, err):
             if budget is None:
                 budget = oracle.DEFAULT_CELL_BUDGET
             brute = query.oracle(oracle, budget)
-            report = report._replace(oracle=brute, agreed=report.count == brute)
+            report = report._replace(oracle=brute)
     except (ValueError, OSError) as exc:
         _write(f"error: {exc}", err, err, "the error message", end="\n")
         return 1

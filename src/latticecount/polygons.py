@@ -59,6 +59,7 @@ class Triangle(_Scaled):
 
     __slots__ = ()
     __new__ = lambda cls, v1, v2, v3: cls._hold((v1, v2, v3))
+    _arity = 3  # the vertex count _hold takes
     v1, v2, v3 = map(_vertex, range(3))
 
 

@@ -1,8 +1,8 @@
 """Two-generator numerical semigroups <a, b> and their invariants.
 
 For coprime positive generators a, b the semigroup is the set of all
-non-negative integer combinations x*a + y*b.  The classical closed forms
-used here:
+non-negative integer combinations x*a + y*b.  A TwoGenSemigroup holds a
+and b alone; every invariant is read off them by a classical closed form:
 
     frobenius = a*b - a - b            (largest gap; -1 when a or b is 1)
     genus     = (a - 1)(b - 1) / 2     (number of gaps)
@@ -18,9 +18,9 @@ from math import gcd
 from .kernel import denumerant, floor_sum
 
 
-class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b", "frobenius", "genus"])):
-    """The semigroup <a, b>, built from its generators; frobenius and genus
-    are computed from them."""
+class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b"])):
+    """The semigroup <a, b>, held as its generators; frobenius and genus
+    are read off them."""
 
     __slots__ = ()
 
@@ -29,21 +29,11 @@ class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b", "frobenius", "gen
             raise ValueError(f"generators must be >= 1, got ({a}, {b})")
         if gcd(a, b) != 1:
             raise ValueError(f"generators must be coprime, got ({a}, {b})")
-        return super().__new__(cls, a, b, a * b - a - b, (a - 1) * (b - 1) // 2)
+        return super().__new__(cls, a, b)
 
-    def __getnewargs__(self):  # copy and pickle rebuild from the generators
-        return self.a, self.b
-
-    @classmethod
-    def _make(cls, fields):  # _replace too: rebuilt from a and b, the other fields checked
-        a, b, *derived = fields
-        if (self := cls(a, b))[2:] != tuple(derived):
-            raise ValueError(f"<{a}, {b}> has frobenius and genus {self[2:]}, got {tuple(derived)}")
-        return self
-
-    def _replace(self, **changes):  # frobenius and genus follow a and b unless given
-        fresh = type(self)(changes.get("a", self.a), changes.get("b", self.b))
-        return super(TwoGenSemigroup, fresh)._replace(**changes)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+    frobenius = property(lambda self: self.a * self.b - self.a - self.b)
+    genus = property(lambda self: (self.a - 1) * (self.b - 1) // 2)
 
     def apery(self, s):
         """Apery set with respect to a generator s, as a list indexed by

@@ -37,7 +37,9 @@ def _integer_points(points):
                     y.numerator * (scale // y.denominator)) for x, y in points]
 
 
-def _vertices(scale, points):  # the Fraction vertices, for a reader
+def _vertices(scale, points):  # the Fraction vertices, for a reader and for _make
+    if scale < 1:
+        raise ValueError(f"a shape's scale is at least 1, got {scale}")
     from fractions import Fraction
     return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in points)
 
@@ -53,6 +55,8 @@ class _Scaled(namedtuple("_Scaled", ["scale", "points"])):
     @classmethod
     def _hold(cls, vertices):
         """The shape of the vertices, scaled by _integer_points and checked."""
+        if hasattr(cls, "_arity") and len(vertices) != cls._arity:
+            raise ValueError(f"a {cls.__name__} has {cls._arity} vertices, got {len(vertices)}")
         scale, points = _integer_points(vertices)
         return super().__new__(cls, scale, cls._checked(points))
 
@@ -84,6 +88,7 @@ class Segment(_Scaled):
 
     __slots__ = ()
     __new__ = lambda cls, p, q: cls._hold((p, q))
+    _arity = 2  # the vertex count _hold takes
     p, q = map(_vertex, range(2))
 
 

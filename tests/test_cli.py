@@ -50,14 +50,19 @@ def test_check_appends_oracle_fields(capsys):
     assert obj["agreed"] is True
 
 
-def test_check_disagreement_exits_2(capsys, monkeypatch):
+@pytest.mark.parametrize("json_mode", [True, False])
+def test_check_disagreement_exits_2(capsys, monkeypatch, json_mode):
     monkeypatch.setattr(oracle, "brute_halfplane_quadrant", lambda *a, **k: 7)
-    code, out, _ = run_cli(capsys, "thr", "3", "7", "46", "--check", "--json")
+    code, out, _ = run_cli(capsys, "thr", "3", "7", "46", "--check",
+                           *(["--json"] if json_mode else []))
     assert code == 2
-    obj = json.loads(out.strip())
-    assert obj["count"] == "63"
-    assert obj["oracle"] == "7"
-    assert obj["agreed"] is False
+    if json_mode:
+        obj = json.loads(out.strip())
+        assert obj["count"] == "63"
+        assert obj["oracle"] == "7"
+        assert obj["agreed"] is False
+    else:
+        assert out == "thr(3, 7, 46): 63\n  oracle: 7 (DISAGREED)\n"
 
 
 def test_check_does_not_change_count(capsys):

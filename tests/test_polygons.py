@@ -786,14 +786,15 @@ def test_polygon_holds_its_points():
 
 def test_shapes_copy_and_replace_through_their_constructors():
     """Copies and pickle round trips are equal instances of the same class,
-    and the _replace of a shape or a semigroup converts and checks its new
-    fields as its constructor does."""
+    and the _make and _replace of a shape or a semigroup convert and check
+    their fields as its constructor does."""
     values = [Polygon(((0, 0), (0, F(3, 2)), (F(4, 3), 1))), Triangle((0, 0), (4, 1), (1, 3)),
               Segment((0, 0), (F(1, 2), 3)), StableRightTriangle((0, 0), (3, 0), (0, 2)),
               TwoGenSemigroup(3, 7), quadrant_blocks(3, 7, 46)]
     for value in values:
         for twin in copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)):
             assert type(twin) is type(value) and twin == value
+        assert type(value)._make(tuple(value)) == value and value._replace() == value
     t = StableRightTriangle((0, 0), (3, 0), (0, 2))
     assert t._replace(scale=2) == StableRightTriangle((0, 0), (F(3, 2), 0), (0, 1))
     assert t._replace(scale=2, points=((0, 0), (7, 0), (0, 4))) == (
@@ -807,9 +808,19 @@ def test_shapes_copy_and_replace_through_their_constructors():
     assert poly._replace(scale=2) == Polygon(((0, 0), (1, 0), (0, 1)))
     with pytest.raises(ValueError, match="not simple"):
         poly._replace(points=((0, 0), (2, 2), (2, 0), (0, 2)))  # a bowtie
+    # a wrong vertex count or a scale below 1 is refused, as the constructor refuses it
+    tri, seg = Triangle((0, 0), (1, 0), (0, 1)), Segment((0, 0), (1, 1))
+    for bad in (lambda: tri._replace(points=((0, 0), (1, 0), (0, 1), (1, 1))),
+                lambda: Triangle._make((1, ((0, 0), (1, 0)))),
+                lambda: seg._replace(points=((0, 0), (1, 1), (2, 2))),
+                lambda: t._replace(points=((0, 0), (3, 0))),
+                lambda: seg._replace(scale=0), lambda: seg._replace(scale=-2),
+                lambda: poly._replace(scale=-1)):
+        with pytest.raises(ValueError):
+            bad()
+    # a semigroup's fields are its generators; frobenius and genus are read off them
     s = TwoGenSemigroup(3, 7)
-    assert s._replace(b=8) == TwoGenSemigroup(3, 8) and s._replace(genus=6) == s
-    assert TwoGenSemigroup._make((3, 7, 11, 6)) == s
-    for changes in {"b": 9}, {"frobenius": 5}, {"b": 8, "genus": 6}:
+    assert s._replace(b=8) == TwoGenSemigroup(3, 8) and TwoGenSemigroup._make((3, 7)) == s
+    for changes in {"b": 9}, {"genus": 6}:
         with pytest.raises(ValueError):
             s._replace(**changes)

@@ -38,13 +38,6 @@ _HOME = {
     "Triangle": "polygons",
     "Polygon": "polygons",
     "PickAudit": "polygons",
-    "TRIANGLE_CASES": "polygons",
-    "CASE_DEGENERATE": "polygons",
-    "CASE_STABLE": "polygons",
-    "CASE_TWO_ADJACENT": "polygons",
-    "CASE_TWO_OPPOSITE": "polygons",
-    "CASE_ONE_CORNER": "polygons",
-    "triangle_case": "polygons",
     "triangle_count": "polygons",
     "polygon_count": "polygons",
     "pick_audit": "polygons",

@@ -191,21 +191,26 @@ def _rtri_query(args, ax, ay, bx, by, cx, cy):
 
 
 def _tri_query(args, x1, y1, x2, y2, x3, y3):
-    from .polygons import Triangle, triangle_case, triangle_count
+    from .polygons import Triangle, _cross, edge_sum, triangle_count
     tri = Triangle((x1, y1), (x2, y2), (x3, y3))
-    return _Query(f"tri({x1}, {y1}, {x2}, {y2}, {x3}, {y3})", triangle_count(tri),
-                  {"case": triangle_case(tri)} if args.trace else None,
+    # one edge-sum pass over the points counterclockwise gives the count, as
+    # triangle_count makes it, and the trace; a collinear triangle is its segment hull
+    L, v = tri
+    turn = _cross(*v)
+    if turn == 0:
+        count, trace = triangle_count(tri), {"reduction": "segment"}
+    else:
+        terms = edge_sum((L, v if turn > 0 else v[::-1]))
+        count, trace = sum(terms), dict(zip(terms._fields, map(str, terms)))
+    return _Query(f"tri({x1}, {y1}, {x2}, {y2}, {x3}, {y3})", count, trace if args.trace else None,
                   lambda oracle, budget: oracle.brute_triangle(tri, budget=budget))
 
 
 def _poly_query(args, poly):
-    from .polygons import edge_sum, polygon_count
-    if args.trace:  # one edge-sum pass gives the count and its named terms
-        terms = edge_sum(poly)
-        count, trace = sum(terms), dict(zip(terms._fields, map(str, terms)))
-    else:
-        count, trace = polygon_count(poly), None
-    return _Query(f"poly(n={len(poly.points)})", count, trace,
+    from .polygons import edge_sum
+    terms = edge_sum(poly)  # one edge-sum pass gives the count and its named terms
+    trace = dict(zip(terms._fields, map(str, terms))) if args.trace else None
+    return _Query(f"poly(n={len(poly.points)})", sum(terms), trace,
                   lambda oracle, budget: oracle.brute_polygon(poly, budget=budget))
 
 

@@ -15,6 +15,18 @@ from collections import namedtuple
 from math import gcd
 
 
+def _replace_fields(self, /, **changes):
+    """The _replace of the shapes and TwoGenSemigroup: the named tuple with
+    the changed fields, rebuilt through the class's _make, so through its
+    checks.  A name that is not a field raises ValueError on every
+    interpreter, where namedtuple's own _replace raises TypeError from
+    Python 3.13 on."""
+    unknown = [name for name in changes if name not in self._fields]
+    if unknown:
+        raise ValueError(f"got unexpected field names: {unknown!r}")
+    return self._make(map(changes.get, self._fields, self))
+
+
 def _check_generators(a, b):
     if a < 1 or b < 1:
         raise ValueError(f"coefficients must be positive integers, got ({a}, {b})")

@@ -3,9 +3,10 @@
 A triangle or polygon is counted on its vertices scaled once to integer
 points, as one floor_sum per edge (edge_sum): the region under an edge
 is a rectangle plus a stable right triangle.  A triangle is the polygon
-with three edges, and a degenerate one is its segment hull.
-triangle_case names the bounding-box case of a triangle, for reports
-and tests; the count does not depend on it.
+with three edges, and a degenerate one is its segment hull.  The tri and
+poly requests read their count and their trace, the two terms column_sum
+and boundary_correction, off one edge_sum pass.  triangle_case names the
+paper's bounding-box case of a triangle, for the tests and the bench.
 
 A Polygon, like every shape, holds its scale and integer points,
 counterclockwise, and builds its Fraction vertices only when read.
@@ -39,19 +40,8 @@ def _in_box(p, a, b):
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-CASE_DEGENERATE = "degenerate"
-CASE_STABLE = "stable_right"
-CASE_TWO_ADJACENT = "two_adjacent_corners"
-CASE_TWO_OPPOSITE = "two_opposite_corners"
-CASE_ONE_CORNER = "one_corner"
-
-TRIANGLE_CASES = (
-    CASE_DEGENERATE,
-    CASE_STABLE,
-    CASE_TWO_ADJACENT,
-    CASE_TWO_OPPOSITE,
-    CASE_ONE_CORNER,
-)
+TRIANGLE_CASES = ("degenerate", "stable_right", "two_adjacent_corners",
+                  "two_opposite_corners", "one_corner")
 
 
 class Triangle(_Scaled):
@@ -64,29 +54,32 @@ class Triangle(_Scaled):
 
 
 def triangle_case(t):
-    """Classify a triangle for `tri --trace` and the tests, by how many of
-    its vertices are corners of its tight bounding box (the box always owns
-    at least one vertex of a nondegenerate triangle): three for
-    stable_right, two on one side of the box for two_adjacent_corners, two
-    at opposite corners for two_opposite_corners, one for one_corner.
-    These are the cases of the paper's bounding-box rule; triangle_count
-    counts every case the same way.  A degenerate triangle is its own case."""
+    """The bounding-box case of a triangle, one of TRIANGLE_CASES, by how
+    many of its vertices are corners of its tight bounding box (the box
+    always owns at least one vertex of a nondegenerate triangle): three
+    for stable_right, two on one side of the box for two_adjacent_corners,
+    two at opposite corners for two_opposite_corners, one for one_corner.
+    These are the cases of the paper's bounding-box rule.  A degenerate
+    triangle is its own case.  No count or request reads it: it stays
+    only for the tests and for bench/tracer.py, which names the case of
+    every traced triangle, until the bench reads counters the package
+    keeps itself (ROADMAP.md)."""
     v = t.points
     if _cross(*v) == 0:
-        return CASE_DEGENERATE
+        return "degenerate"
     xs, ys = zip(*v)
     box_x, box_y = (min(xs), max(xs)), (min(ys), max(ys))
     hits = [p for p in v if p[0] in box_x and p[1] in box_y]
     if len(hits) == 3:
-        return CASE_STABLE
+        return "stable_right"
     if len(hits) == 2:
         p, q = hits
         if p[0] == q[0] or p[1] == q[1]:
-            return CASE_TWO_ADJACENT
-        return CASE_TWO_OPPOSITE
+            return "two_adjacent_corners"
+        return "two_opposite_corners"
     if len(hits) != 1:
         raise AssertionError(f"triangle {v} has no vertex at a box corner")
-    return CASE_ONE_CORNER
+    return "one_corner"
 
 
 def triangle_count(t):
@@ -101,7 +94,7 @@ def triangle_count(t):
     turn = _cross(*v)
     if turn == 0:
         return segment_count((L, (min(v), max(v))))
-    return sum(_edge_terms(L, v if turn > 0 else v[::-1]))
+    return sum(edge_sum((L, v if turn > 0 else v[::-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +238,9 @@ EdgeSum = namedtuple("EdgeSum", ["column_sum", "boundary_correction"])
 
 
 def edge_sum(p):
-    """The two terms of polygon_count(p), from one pass over the edges of the
-    polygon's integer points (scale L, counterclockwise).
+    """The two terms of the count of a simple polygon, from one pass over
+    its edges.  p is its scale L and integer points, counterclockwise: a
+    Polygon, or such a pair, as triangle_count passes a triangle's.
 
     column_sum: a non-vertical edge from x0 to x1 > x0 covers the columns x
     with L*x in [x0, x1).  Traversed right to left (upper boundary) it adds
@@ -260,12 +254,7 @@ def edge_sum(p):
     on an upward vertical line; minus each reflex vertex whose neighbours
     both have x > its x, where two covered intervals meet.
     """
-    return _edge_terms(p.scale, p.points)
-
-
-def _edge_terms(L, pts):
-    """The EdgeSum of edge_sum, for a simple polygon given by its
-    counterclockwise vertices pts, scaled to integer points by L."""
+    L, pts = p
     n = len(pts)
     columns = correction = 0
     for i in range(n):
@@ -315,7 +304,7 @@ def pick_audit(p):
         raise ValueError(f"pick_audit requires integral vertices, got ({x}, {y})")
     area = Fraction(abs(signed_area2(pts)), 2)
     boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
-    interior = sum(_edge_terms(L, pts)) - boundary
+    interior = sum(edge_sum(p)) - boundary
     holds = area == interior + Fraction(boundary, 2) - 1
     return PickAudit(area, interior, boundary, holds)
 

@@ -15,7 +15,7 @@ of c as x*a + y*b with x, y >= 0), which lives in the kernel.
 from collections import namedtuple
 from math import gcd
 
-from .kernel import denumerant, floor_sum
+from .kernel import _replace_fields, denumerant, floor_sum
 
 
 class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b"])):
@@ -31,7 +31,8 @@ class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b"])):
             raise ValueError(f"generators must be coprime, got ({a}, {b})")
         return super().__new__(cls, a, b)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
+    _make = classmethod(lambda cls, fields: cls(*fields))
+    _replace = _replace_fields  # through _make, so through __new__'s checks
     frobenius = property(lambda self: self.a * self.b - self.a - self.b)
     genus = property(lambda self: (self.a - 1) * (self.b - 1) // 2)
 

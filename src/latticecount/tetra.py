@@ -72,7 +72,7 @@ def _reduce(a1, a2, a3):
 
 def tetra_slice_counts(a1, a2, a3, b):
     """Per-slice lattice counts, slicing x3' = 0, 1, ... along the largest
-    generator; empty for b < 0.
+    generator, as a tuple of ints; empty for b < 0.
 
     Each class of slices modulo stride = d/gcd(s, d) is its first P + 2
     slices, one kernel call per distinct residue modulo p*q among them,
@@ -81,7 +81,7 @@ def tetra_slice_counts(a1, a2, a3, b):
     """
     p, q, s, d = _reduce(a1, a2, a3)
     if b < 0:
-        return []
+        return ()
     n = b // s + 1
     pq = p * q
     g = gcd(s, d)
@@ -98,11 +98,11 @@ def tetra_slice_counts(a1, a2, a3, b):
         if m > len(counts):  # the second differences d2 repeat with period P
             d2 = [x - 2 * y + z for x, y, z in zip(counts, counts[1:], counts[2:])]
             d1 = accumulate(islice(cycle(d2), m - 2), initial=counts[1] - counts[0])
-            counts = list(accumulate(d1, initial=counts[0]))
+            counts = tuple(accumulate(d1, initial=counts[0]))
         if out is None:
-            return counts
+            return tuple(counts)
         out[slices.start::stride] = counts
-    return out
+    return tuple(out)
 
 
 def tetra_count(a1, a2, a3, b):

@@ -15,7 +15,7 @@ The orientation predicates are in polygons, their only user.
 from collections import namedtuple
 from math import gcd, lcm
 
-from .kernel import denumerant, quadrant_count
+from .kernel import _replace_fields, denumerant, quadrant_count
 
 
 def _rational(c):
@@ -38,8 +38,6 @@ def _integer_points(points):
 
 
 def _vertices(scale, points):  # the Fraction vertices, for a reader and for _make
-    if scale < 1:
-        raise ValueError(f"a shape's scale is at least 1, got {scale}")
     from fractions import Fraction
     return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in points)
 
@@ -61,8 +59,19 @@ class _Scaled(namedtuple("_Scaled", ["scale", "points"])):
         return super().__new__(cls, scale, cls._checked(points))
 
     _checked = staticmethod(tuple)  # the integer points to hold, or ValueError
-    _make = classmethod(lambda cls, fields: cls._hold(_vertices(*fields)))  # _replace checks too
+    _replace = _replace_fields  # through _make
     vertices = property(lambda self: _vertices(*self))
+
+    @classmethod
+    def _make(cls, fields):
+        """The shape of an int scale of at least 1 and int points, rebuilt
+        from the vertices they give; any other fields raise ValueError."""
+        scale, points = fields
+        if not isinstance(scale, int) or scale < 1:
+            raise ValueError(f"a shape's scale is an int of at least 1, got {scale!r}")
+        if not all(isinstance(c, int) for p in points for c in p):
+            raise ValueError(f"a shape's points are int pairs, got {points!r}")
+        return cls._hold(_vertices(scale, points))
 
     def __reduce__(self):  # copy and pickle rebuild from the vertices
         return self._hold, (self.vertices,)

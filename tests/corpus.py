@@ -12,17 +12,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import ceil, floor, gcd
 
-from latticecount.polygons import (
-    CASE_ONE_CORNER,
-    CASE_STABLE,
-    CASE_TWO_ADJACENT,
-    CASE_TWO_OPPOSITE,
-    Polygon,
-    Triangle,
-    _cross,
-    triangle_case,
-)
+from latticecount.polygons import Polygon, Triangle, _cross, triangle_case
 from latticecount.triangles import StableRightTriangle
+from references import CASE_ONE_CORNER, CASE_STABLE, CASE_TWO_ADJACENT, CASE_TWO_OPPOSITE
 
 SPAN = 10
 MAX_DEN = 8

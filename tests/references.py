@@ -25,6 +25,10 @@ from latticecount.oracle import (
     _pt,
     _scaled,
 )
+from latticecount.polygons import TRIANGLE_CASES
+
+# the bounding-box cases of polygons.triangle_case, by name
+CASE_DEGENERATE, CASE_STABLE, CASE_TWO_ADJACENT, CASE_TWO_OPPOSITE, CASE_ONE_CORNER = TRIANGLE_CASES
 
 # --- brute-force forms and tables, on the oracle's budget and scaling --------
 

@@ -24,7 +24,6 @@ from corpus import (
 from latticecount import cli, oracle
 from latticecount.kernel import quadrant_blocks
 from latticecount.polygons import (
-    CASE_DEGENERATE,
     TRIANGLE_CASES,
     Triangle,
     pick_audit,
@@ -39,6 +38,7 @@ from latticecount.triangles import (
     stable_right_count,
 )
 from references import (
+    CASE_DEGENERATE,
     brute_denumerant2_table,
     brute_equation3_table,
     brute_tetra_table,

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import no_digit_limit, rand_rational
+from corpus import (
+    CASE_GENERATORS,
+    apply_symmetry,
+    no_digit_limit,
+    rand_rational,
+    rand_tri_degenerate,
+)
 from latticecount import cli, kernel, oracle, polygons, tetra, triangles
 from latticecount.triangles import quadrant_count, rect_count
 
@@ -141,7 +147,7 @@ def test_tri_with_case_trace(capsys):
     assert code == 0
     obj = json.loads(out.strip())
     assert obj["count"] == "8"
-    assert obj["trace"] == {"case": "one_corner"}
+    assert obj["trace"] == {"column_sum": "7", "boundary_correction": "1"}
     assert obj["agreed"] is True
 
 
@@ -302,6 +308,47 @@ def test_poly_trace_runs_the_edge_sum_once(capsys, monkeypatch, tmp_path, trace)
     code, out, _ = run_cli(capsys, "poly", str(path), *(["--trace"] if trace else []))
     assert code == 0 and out.startswith("poly(n=5): 26\n")
     assert (len(passes), len(triangles)) == (1, 0)
+
+
+@pytest.mark.parametrize("argv, count, passes", [
+    (["tri", "0", "0", "4", "1", "1", "3"], 8, 1),
+    (["tri", "0", "0", "4", "1", "1", "3", "--trace"], 8, 1),
+    (["tri", "--trace", "--", "-7/2", "0.25", "5", "-1", "1", "10/3"], 17, 1),
+    (["tri", "0", "0", "3", "2", "6", "4"], 3, 0),
+    (["tri", "0", "0", "3", "2", "6", "4", "--trace"], 3, 0),
+])
+def test_tri_reads_its_count_and_trace_off_one_edge_sum(capsys, monkeypatch, argv, count, passes):
+    """A tri request, traced or not, makes one edge-sum pass, none for a
+    collinear triangle, and never classifies the triangle."""
+    sums = _count_calls(monkeypatch, (polygons,), "edge_sum")
+    cases = _count_calls(monkeypatch, (polygons,), "triangle_case")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.split("\n")[0].endswith(f": {count}")
+    assert (len(sums), len(cases)) == (passes, 0)
+
+
+def test_tri_trace_terms_sum_to_the_count():
+    """For random triangles of every bounding-box case, under random
+    lattice symmetries, the traced column_sum and boundary_correction sum
+    to the count, which is triangle_count; a collinear triangle is traced
+    as the segment it is counted as."""
+    rng = random.Random(3131)
+    shapes = [apply_symmetry(rng, gen(rng)) for gen in CASE_GENERATORS.values()
+              for _ in range(25)]
+    shapes += [rand_tri_degenerate(rng) for _ in range(25)]
+    for tri in shapes:
+        coords = [str(c) for v in tri.vertices for c in v]
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["tri", "--trace", "--json", "--", *coords], out, err) == 0, err.getvalue()
+        report = json.loads(out.getvalue())
+        count = int(report["count"])
+        assert count == polygons.triangle_count(tri), coords
+        if polygons._cross(*tri.points) == 0:
+            assert report["trace"] == {"reduction": "segment"}, coords
+        else:
+            terms = report["trace"]
+            assert list(terms) == ["column_sum", "boundary_correction"], coords
+            assert int(terms["column_sum"]) + int(terms["boundary_correction"]) == count, coords
 
 
 def _spy_fractions(monkeypatch):
@@ -617,18 +664,18 @@ GOLDEN = [
     ('tri 0 0 4 1 1 3 --check',
      'tri(0, 0, 4, 1, 1, 3): 8\n  oracle: 8 (agreed)\n'),
     ('tri 0 0 4 1 1 3 --trace',
-     'tri(0, 0, 4, 1, 1, 3): 8\n  case: one_corner\n'),
+     'tri(0, 0, 4, 1, 1, 3): 8\n  column_sum: 7\n  boundary_correction: 1\n'),
     ('tri 0 0 4 1 1 3 --trace --json',
-     '{"shape": "tri(0, 0, 4, 1, 1, 3)", "count": "8", "trace": {"case": "one_corner"}}\n'),
+     '{"shape": "tri(0, 0, 4, 1, 1, 3)", "count": "8", "trace": {"column_sum": "7", "boundary_correction": "1"}}\n'),
     ('tri 0 0 4 1 1 3 --trace --check --json',
-     '{"shape": "tri(0, 0, 4, 1, 1, 3)", "count": "8", "trace": {"case": "one_corner"}, "oracle": "8", "agreed": true}\n'),
+     '{"shape": "tri(0, 0, 4, 1, 1, 3)", "count": "8", "trace": {"column_sum": "7", "boundary_correction": "1"}, "oracle": "8", "agreed": true}\n'),
     # collinear triangles: the count of the segment hull
     ('tri 0 0 3 2 6 4 --trace --check',
-     'tri(0, 0, 3, 2, 6, 4): 3\n  case: degenerate\n  oracle: 3 (agreed)\n'),
+     'tri(0, 0, 3, 2, 6, 4): 3\n  reduction: segment\n  oracle: 3 (agreed)\n'),
     ('tri 6 4 -3 -2 0 0 --json',
      '{"shape": "tri(6, 4, -3, -2, 0, 0)", "count": "4"}\n'),
     ('tri 1/2 0 5/2 2 3/2 1 --trace --check',
-     'tri(1/2, 0, 5/2, 2, 3/2, 1): 0\n  case: degenerate\n  oracle: 0 (agreed)\n'),
+     'tri(1/2, 0, 5/2, 2, 3/2, 1): 0\n  reduction: segment\n  oracle: 0 (agreed)\n'),
     ('tri -9/2 -3 3/2 1 15/2 5 --check',
      'tri(-9/2, -3, 3/2, 1, 15/2, 5): 4\n  oracle: 4 (agreed)\n'),
     ('poly {poly}',

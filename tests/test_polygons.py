@@ -22,11 +22,6 @@ from corpus import (
 from latticecount import TwoGenSemigroup, polygons, quadrant_blocks
 from latticecount.oracle import brute_polygon, brute_triangle
 from latticecount.polygons import (
-    CASE_DEGENERATE,
-    CASE_ONE_CORNER,
-    CASE_STABLE,
-    CASE_TWO_ADJACENT,
-    CASE_TWO_OPPOSITE,
     TRIANGLE_CASES,
     Polygon,
     Triangle,
@@ -47,6 +42,13 @@ from latticecount.triangles import (
     rect_count,
     segment_count,
     stable_right_count,
+)
+from references import (
+    CASE_DEGENERATE,
+    CASE_ONE_CORNER,
+    CASE_STABLE,
+    CASE_TWO_ADJACENT,
+    CASE_TWO_OPPOSITE,
 )
 
 F = Fraction
@@ -808,14 +810,16 @@ def test_shapes_copy_and_replace_through_their_constructors():
     assert poly._replace(scale=2) == Polygon(((0, 0), (1, 0), (0, 1)))
     with pytest.raises(ValueError, match="not simple"):
         poly._replace(points=((0, 0), (2, 2), (2, 0), (0, 2)))  # a bowtie
-    # a wrong vertex count or a scale below 1 is refused, as the constructor refuses it
+    # a wrong vertex count, a scale below 1, or a non-int scale or coordinate is
+    # refused with ValueError
     tri, seg = Triangle((0, 0), (1, 0), (0, 1)), Segment((0, 0), (1, 1))
     for bad in (lambda: tri._replace(points=((0, 0), (1, 0), (0, 1), (1, 1))),
                 lambda: Triangle._make((1, ((0, 0), (1, 0)))),
                 lambda: seg._replace(points=((0, 0), (1, 1), (2, 2))),
                 lambda: t._replace(points=((0, 0), (3, 0))),
                 lambda: seg._replace(scale=0), lambda: seg._replace(scale=-2),
-                lambda: poly._replace(scale=-1)):
+                lambda: poly._replace(scale=-1), lambda: seg._replace(scale=1.5),
+                lambda: seg._replace(points=((0, 0), (1.5, 1)))):
         with pytest.raises(ValueError):
             bad()
     # a semigroup's fields are its generators; frobenius and genus are read off them

@@ -188,7 +188,8 @@ def test_requests_but_pick_and_check_load_no_fractions(tmp_path):
     pairs, so in a fresh interpreter one request of every subcommand but
     pick, each without --check, loads neither fractions nor the decimal
     and numbers modules it imports.  The traces of a degenerate rtri, a
-    point and a segment, name the reduction without building it."""
+    point and a segment, and of a collinear tri name the reduction
+    without building it."""
     path = tmp_path / "shape.txt"
     path.write_text("0 0\n7/2 0\n7/2 1.5\n0 5/2\n")
     requests = [
@@ -198,6 +199,7 @@ def test_requests_but_pick_and_check_load_no_fractions(tmp_path):
         ["rtri", "1/2", "1/3", "1/2", "1/3", "1/2", "1/3", "--exclude", "hyp", "--trace"],
         ["rtri", "1", "1", "1", "1", "4", "1", "--trace"],
         ["tri", "0", "0", "4", "1", "1", "3", "--trace"],
+        ["tri", "1/2", "0", "5/2", "2", "3/2", "1", "--trace"],
         ["poly", str(path), "--trace"],
         ["tetra", "6", "10", "15", "21", "--trace", "--json"],
         ["denumerant", "3", "7", "46"],

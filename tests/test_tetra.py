@@ -26,9 +26,9 @@ from references import brute_equation3_table, brute_tetra_table
 
 def test_tetra_examples():
     assert tetra_count(1, 2, 3, 3) == 7
-    assert tetra_slice_counts(1, 2, 3, 3) == [6, 1]
+    assert tetra_slice_counts(1, 2, 3, 3) == (6, 1)
     assert tetra_count(6, 10, 15, 21) == 9
-    assert tetra_slice_counts(6, 10, 15, 21) == [7, 2]
+    assert tetra_slice_counts(6, 10, 15, 21) == (7, 2)
     assert tetra_count(2, 3, 5, -1) == 0
 
 
@@ -140,7 +140,7 @@ def test_slices_are_reduced_quadrant_counts(gens):
     p, q, s = sorted(gens)
     d = gcd(p, q)
     for b in (0, 1, 59, 997, 5003):
-        expected = [quadrant_count(p // d, q // d, (b - s * i) // d) for i in range(b // s + 1)]
+        expected = tuple(quadrant_count(p // d, q // d, (b - s * i) // d) for i in range(b // s + 1))
         assert tetra_slice_counts(*gens, b) == expected, b
 
 
@@ -173,7 +173,7 @@ def test_slice_rows_against_the_slice_definition():
         n = rng.choice([periods - 1, periods, periods + 1, head, head,
                         rng.randint(1, 3 * T + 300), 1, 0])
         b = s * (n - 1) + rng.randrange(s)
-        expected = [quadrant_count(p, q, (b - s * i) // d) for i in range(n)]
+        expected = tuple(quadrant_count(p, q, (b - s * i) // d) for i in range(n))
         assert tetra_slice_counts(*gens, b) == expected, (gens, b)
         lengths = {len(range(t, n, stride)) for t in range(stride)}
         seen["n < T"] += 0 < n < T

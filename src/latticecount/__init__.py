@@ -19,10 +19,7 @@ __version__ = "0.1.0"
 
 # each public name of a submodule -> that submodule, in __all__'s order
 _HOME = {
-    "parse_rational": "rationals",
-    "format_rational": "rationals",
     "TwoGenSemigroup": "semigroup",
-    "denumerant2": "semigroup",
     "Segment": "triangles",
     "BlockTrace": "kernel",
     "StableRightTriangle": "triangles",
@@ -48,7 +45,7 @@ _HOME = {
     "denumerant3": "tetra",
 }
 
-_SUBMODULES = frozenset((*_HOME.values(), "cli", "oracle"))
+_SUBMODULES = frozenset((*_HOME.values(), "cli", "oracle", "rationals"))
 
 __all__ = [*_HOME, "oracle", "__version__"]
 

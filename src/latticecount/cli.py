@@ -146,26 +146,25 @@ def _check_trace_size(entries, flag="--trace"):
 
 # a query makes its count before its trace, so a bad input is reported as
 # such, not as a trace over the limit or a failure of the trace's arithmetic
-_Query = namedtuple("_Query", ["shape", "count", "trace", "oracle"])
 
 
 def _thr_query(args, a, b, c):
     from .kernel import quadrant_blocks, quadrant_count
     count, trace = quadrant_count(a, b, c), None
     if args.trace:
-        k, r = divmod(max(c, 0), a * b)
-        _check_trace_size(k + 2 + r // max(a, b))  # k + 1 blocks, r // max(a, b) + 1 tail terms
+        k, r = divmod(c, a * b)  # k + 1 blocks, r // max(a, b) + 1 tail terms; none for c < 0
+        _check_trace_size(k + 2 + r // max(a, b) if c >= 0 else 0)
         k, blocks, tail = quadrant_blocks(a, b, c)
         trace = {"k": k, "blocks": _Ints(blocks), "tail_terms": _Ints(tail)}
-    return _Query(f"thr({a}, {b}, {c})", count, trace,
-                  lambda oracle, budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget))
+    return (CountReport(f"thr({a}, {b}, {c})", count, trace),
+            lambda oracle, budget: oracle.brute_halfplane_quadrant(a, b, c, budget=budget))
 
 
 def _rect_query(args, x0, y0, x1, y1):
     from .triangles import Segment, rect_count
-    return _Query(f"rect({x0}, {y0}, {x1}, {y1})", rect_count((x0, y0), (x1, y1)), None,
-                  lambda oracle, budget: oracle.brute_rect(
-                      *Segment((x0, y0), (x1, y1)).vertices, budget=budget))
+    return (CountReport(f"rect({x0}, {y0}, {x1}, {y1})", rect_count((x0, y0), (x1, y1))),
+            lambda oracle, budget: oracle.brute_rect(
+                *Segment((x0, y0), (x1, y1)).vertices, budget=budget))
 
 
 def _rtri_query(args, ax, ay, bx, by, cx, cy):
@@ -185,9 +184,9 @@ def _rtri_query(args, ax, ay, bx, by, cx, cy):
             trace = {"reduction": "quadrant", "a": str(a), "b": str(b), "c": str(c // m)}
         if parts:
             trace["excluded"] = sorted(parts)
-    return _Query(f"rtri(A=({ax}, {ay}), B=({bx}, {by}), C=({cx}, {cy}))", count, trace,
-                  lambda oracle, budget: oracle.brute_triangle(
-                      tri, exclude_segments=tri.boundary_segments(parts), budget=budget))
+    return (CountReport(f"rtri(A=({ax}, {ay}), B=({bx}, {by}), C=({cx}, {cy}))", count, trace),
+            lambda oracle, budget: oracle.brute_triangle(
+                tri, exclude_segments=tri.boundary_segments(parts), budget=budget))
 
 
 def _tri_query(args, x1, y1, x2, y2, x3, y3):
@@ -202,16 +201,17 @@ def _tri_query(args, x1, y1, x2, y2, x3, y3):
     else:
         terms = edge_sum((L, v if turn > 0 else v[::-1]))
         count, trace = sum(terms), dict(zip(terms._fields, map(str, terms)))
-    return _Query(f"tri({x1}, {y1}, {x2}, {y2}, {x3}, {y3})", count, trace if args.trace else None,
-                  lambda oracle, budget: oracle.brute_triangle(tri, budget=budget))
+    return (CountReport(f"tri({x1}, {y1}, {x2}, {y2}, {x3}, {y3})", count,
+                        trace if args.trace else None),
+            lambda oracle, budget: oracle.brute_triangle(tri, budget=budget))
 
 
 def _poly_query(args, poly):
     from .polygons import edge_sum
     terms = edge_sum(poly)  # one edge-sum pass gives the count and its named terms
     trace = dict(zip(terms._fields, map(str, terms))) if args.trace else None
-    return _Query(f"poly(n={len(poly.points)})", sum(terms), trace,
-                  lambda oracle, budget: oracle.brute_polygon(poly, budget=budget))
+    return (CountReport(f"poly(n={len(poly.points)})", sum(terms), trace),
+            lambda oracle, budget: oracle.brute_polygon(poly, budget=budget))
 
 
 def _tetra_query(args, a1, a2, a3, b):
@@ -223,20 +223,20 @@ def _tetra_query(args, a1, a2, a3, b):
         count, trace = sum(slices), {"slices": _Ints(slices)}
     else:
         count, trace = tetra_count(a1, a2, a3, b), None
-    return _Query(f"tetra({a1}, {a2}, {a3}; {b})", count, trace,
-                  lambda oracle, budget: oracle.brute_tetra(a1, a2, a3, b, budget=budget))
+    return (CountReport(f"tetra({a1}, {a2}, {a3}; {b})", count, trace),
+            lambda oracle, budget: oracle.brute_tetra(a1, a2, a3, b, budget=budget))
 
 
 def _denumerant_query(args, a, b, c):
     from .semigroup import TwoGenSemigroup
-    return _Query(f"denumerant({c}; {a}, {b})", TwoGenSemigroup(a, b).denumerant(c), None,
-                  lambda oracle, budget: oracle.brute_denumerant2(a, b, c, budget=budget))
+    return (CountReport(f"denumerant({c}; {a}, {b})", TwoGenSemigroup(a, b).denumerant(c)),
+            lambda oracle, budget: oracle.brute_denumerant2(a, b, c, budget=budget))
 
 
 def _denumerant3_query(args, a1, a2, a3, n):
     from .tetra import denumerant3
-    return _Query(f"denumerant({n}; {a1}, {a2}, {a3})", denumerant3(a1, a2, a3, n), None,
-                  lambda oracle, budget: oracle.brute_denumerant3(a1, a2, a3, n, budget=budget))
+    return (CountReport(f"denumerant({n}; {a1}, {a2}, {a3})", denumerant3(a1, a2, a3, n)),
+            lambda oracle, budget: oracle.brute_denumerant3(a1, a2, a3, n, budget=budget))
 
 
 def _semigroup_options(sp):
@@ -256,37 +256,36 @@ def _semigroup_query(args, a, b):
     if args.gaps:
         _check_trace_size(sg.genus, "--gaps")
         gaps = sg.gaps()
-        return _Query(shape + " gaps", len(gaps), {"gaps": _Ints(gaps)},
-                      lambda oracle, budget: len(oracle.brute_gaps(a, b, budget=budget)))
+        return (CountReport(shape + " gaps", len(gaps), {"gaps": _Ints(gaps)}),
+                lambda oracle, budget: len(oracle.brute_gaps(a, b, budget=budget)))
     if args.apery is not None:
         s = parse_int(args.apery)
         if s in (a, b):  # else apery names the non-generator
             _check_trace_size(s, "--apery")
         ap = sg.apery(s)
         # the count is the set's sum: a checksum that detects any wrong element
-        return _Query(shape + f" apery({s})", sum(ap), {"apery": _Ints(ap)},
-                      lambda oracle, budget: sum(oracle.brute_apery(a, b, s, budget=budget)))
+        return (CountReport(shape + f" apery({s})", sum(ap), {"apery": _Ints(ap)}),
+                lambda oracle, budget: sum(oracle.brute_apery(a, b, s, budget=budget)))
     if args.contains is not None:
         n = parse_int(args.contains)
         member = sg.contains(n)
-        return _Query(shape + f" contains({n})", int(member), {"contains": member},
-                      lambda oracle, budget: int(oracle.brute_contains(a, b, n, budget=budget)))
+        return (CountReport(shape + f" contains({n})", int(member), {"contains": member}),
+                lambda oracle, budget: int(oracle.brute_contains(a, b, n, budget=budget)))
     if args.upto is not None:
         c = parse_int(args.upto)
-        return _Query(shape + f" upto({c})", sg.count_upto(c), None,
-                      lambda oracle, budget: oracle.brute_count_upto(a, b, c, budget=budget))
-    return _Query(shape, sg.genus, {"frobenius": str(sg.frobenius), "genus": str(sg.genus)},
-                  lambda oracle, budget: len(oracle.brute_gaps(a, b, budget=budget)))
+        return (CountReport(shape + f" upto({c})", sg.count_upto(c)),
+                lambda oracle, budget: oracle.brute_count_upto(a, b, c, budget=budget))
+    return (CountReport(shape, sg.genus, {"frobenius": str(sg.frobenius), "genus": str(sg.genus)}),
+            lambda oracle, budget: len(oracle.brute_gaps(a, b, budget=budget)))
 
 
 def _pick_query(args, poly):
     from .polygons import pick_audit
-    from .rationals import format_rational
     audit = pick_audit(poly)
-    trace = {"area": format_rational(audit.area), "interior": str(audit.interior),
+    trace = {"area": str(audit.area), "interior": str(audit.interior),
              "boundary": str(audit.boundary), "holds": audit.holds}
-    return _Query(f"pick(n={len(poly.points)})", audit.interior + audit.boundary, trace,
-                  lambda oracle, budget: oracle.brute_polygon(poly, budget=budget))
+    return (CountReport(f"pick(n={len(poly.points)})", audit.interior + audit.boundary, trace),
+            lambda oracle, budget: oracle.brute_polygon(poly, budget=budget))
 
 
 # --- the subcommand table --------------------------------------------------
@@ -298,11 +297,12 @@ class Subcommand(namedtuple("Subcommand", ["name", "help", "args", "parse", "que
 
     `parse` names the function of this module that reads each positional
     in `args`.  `query` is called with the namespace and the parsed
-    positionals; it returns the shape, the count, the trace (None unless
-    shown) and the oracle, a function of the oracle module and the cell
-    budget.  A query imports its library functions when it runs, each
-    from the module that defines it, and the oracle's are read from the
-    module it is given, so patching a global of that module reaches them.
+    positionals; it returns the CountReport, its trace None unless shown,
+    and the oracle: a function of the oracle module and the cell budget,
+    whose count run attaches to the report under --check.  A query
+    imports its library functions when it runs, each from the module that
+    defines it, and the oracle's are read from the module it is given, so
+    patching a global of that module reaches them.
     `options` adds the subcommand's own flags to its parser.
     """
 
@@ -415,14 +415,12 @@ def _run(argv, out, err):
         if budget is not None and budget < 0:
             raise ValueError(f"--oracle-budget must be at least 0, got {budget}")
         parse = globals()[row.parse]
-        query = row.query(args, *(parse(getattr(args, name)) for name in row.args))
-        report = CountReport(query.shape, query.count, query.trace)
+        report, brute = row.query(args, *(parse(getattr(args, name)) for name in row.args))
         if args.check:
             from . import oracle  # loaded by the first --check, not by import latticecount.cli
             if budget is None:
                 budget = oracle.DEFAULT_CELL_BUDGET
-            brute = query.oracle(oracle, budget)
-            report = report._replace(oracle=brute)
+            report = report._replace(oracle=brute(oracle, budget))
     except (ValueError, OSError) as exc:
         _write(f"error: {exc}", err, err, "the error message", end="\n")
         return 1

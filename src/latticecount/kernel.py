@@ -27,7 +27,9 @@ def _replace_fields(self, /, **changes):
     return self._make(map(changes.get, self._fields, self))
 
 
-def _check_generators(a, b):
+def _check_generators(a, b, c):
+    if not (isinstance(a, int) and isinstance(b, int) and isinstance(c, int)):
+        raise ValueError(f"arguments must be integers, got ({a!r}, {b!r}, {c!r})")
     if a < 1 or b < 1:
         raise ValueError(f"coefficients must be positive integers, got ({a}, {b})")
     if gcd(a, b) != 1:
@@ -113,7 +115,7 @@ def quadrant_count(a, b, c):
     count is the k full strips in closed form plus the partial strip,
     sum_{i <= r//b} ((r - i*b)//a + 1), which is one floor_sum.
     """
-    _check_generators(a, b)
+    _check_generators(a, b, c)
     if c < 0:
         return 0
     if a > b:
@@ -136,7 +138,7 @@ class BlockTrace(namedtuple("BlockTrace", ["k", "block_counts", "tail_terms"])):
 
 def quadrant_blocks(a, b, c):
     """Block decomposition of the quadrant count; empty for c < 0."""
-    _check_generators(a, b)
+    _check_generators(a, b, c)
     if c < 0:
         return BlockTrace(0, (), ())
     if a > b:

@@ -82,7 +82,3 @@ class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b"])):
         """Number of pairs (x, y) with x, y >= 0 and x*a + y*b = c."""
         return denumerant(self.a, self.b, c)
 
-
-def denumerant2(a, b, c):
-    """Convenience wrapper: the denumerant of c in <a, b>."""
-    return TwoGenSemigroup(a, b).denumerant(c)

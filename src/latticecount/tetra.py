@@ -60,9 +60,11 @@ from .kernel import _floor_sums2, _popoviciu_residues, floor_sum, full_strips, q
 STEP_LIMIT = 10**6
 
 
-def _reduce(a1, a2, a3):
+def _reduce(a1, a2, a3, b):
     """(p, q, s, d): the two smaller generators divided by their gcd d,
-    and the largest generator s."""
+    and the largest generator s.  All four arguments must be ints."""
+    if not all(isinstance(x, int) for x in (a1, a2, a3, b)):
+        raise ValueError(f"arguments must be integers, got ({a1!r}, {a2!r}, {a3!r}, {b!r})")
     if a1 < 1 or a2 < 1 or a3 < 1:
         raise ValueError(f"generators must be >= 1, got ({a1}, {a2}, {a3})")
     p, q, s = sorted((a1, a2, a3))
@@ -79,7 +81,7 @@ def tetra_slice_counts(a1, a2, a3, b):
     then two accumulates over its second differences, which repeat with
     period P (module docstring).  Classes interleave by slice assignment.
     """
-    p, q, s, d = _reduce(a1, a2, a3)
+    p, q, s, d = _reduce(a1, a2, a3, b)
     if b < 0:
         return ()
     n = b // s + 1
@@ -115,7 +117,7 @@ def tetra_count(a1, a2, a3, b):
     closed form builds p*q*T from Popoviciu's formula term by term; each
     term is p*q times the integer D(m), so the division by p*q is exact.
     """
-    p, q, s, d = _reduce(a1, a2, a3)
+    p, q, s, d = _reduce(a1, a2, a3, b)
     if b < 0:
         return 0
     steps = min(b // s + 1, p + q)
@@ -154,7 +156,7 @@ def denumerant3(a1, a2, a3, n):
     sum(A*j + B) - p*floor_sum(J, p, A, B).  Each term is p*q times the
     integer D(c_j), so the division by p*q is exact.
     """
-    p, q, s, d = _reduce(a1, a2, a3)
+    p, q, s, d = _reduce(a1, a2, a3, n)
     if n < 0:
         return 0
     g = gcd(s, d)

@@ -218,8 +218,9 @@ def test_thr_trace_of_negative_bound_json(capsys):
     assert sum(int(n) for n in obj["trace"]["blocks"]) == int(obj["count"]) == 0
 
 
-def test_thr_trace_of_negative_bound_is_sized_as_empty(capsys):
-    """A negative bound lists no entry, however large a and b are."""
+def test_thr_trace_of_negative_bound_is_sized_as_empty(capsys, monkeypatch):
+    """A negative bound lists no entry, however large a and b are, so its
+    trace fits any limit, even a limit of none."""
     code, out, err = run_cli(capsys, "thr", "1000003", "1000033", "-1", "--trace")
     assert (code, err) == (0, "")
     assert out == "thr(1000003, 1000033, -1): 0\n  k: 0\n  blocks:\n  tail_terms:\n"
@@ -227,6 +228,14 @@ def test_thr_trace_of_negative_bound_is_sized_as_empty(capsys):
     assert (code, err) == (0, "")
     assert out == ('{"shape": "thr(1000003, 1000033, -1)", "count": "0", '
                    '"trace": {"k": 0, "blocks": [], "tail_terms": []}}\n')
+    monkeypatch.setattr(cli, "TRACE_LIMIT", 0)
+    for argv in (("3", "7", "-1"), ("1000003", "1000033", "-1"), ("3", "7", "-46")):
+        code, out, err = run_cli(capsys, "thr", *argv, "--trace")
+        assert (code, err) == (0, ""), argv
+        assert out == f"thr({', '.join(argv)}): 0\n  k: 0\n  blocks:\n  tail_terms:\n"
+    code, out, err = run_cli(capsys, "thr", "3", "7", "0", "--trace")
+    assert (code, out) == (1, "")
+    assert err == "error: --trace would list 2 entries, over the limit of 0\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,23 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import no_digit_limit
-from latticecount.rationals import format_rational, parse_int, parse_ratio, parse_rational
-
-
-def test_parse_rational():
-    assert parse_rational("7/2") == Fraction(7, 2)
-    assert parse_rational("-7/2") == Fraction(-7, 2)
-    assert parse_rational("3.5") == Fraction(7, 2)
-    assert parse_rational("35/10") == Fraction(7, 2)
-    assert parse_rational("+4/6") == Fraction(2, 3)
-    assert parse_rational("3") == 3
-    assert parse_rational("-0.25") == Fraction(-1, 4)
+from latticecount.rationals import parse_int, parse_ratio
 
 
 @pytest.mark.parametrize("bad", ["1/0", "abc", "3.", ".5", "1e5", "", "1//2", "1 /2"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
-        parse_rational(bad)
+        parse_ratio(bad)
 
 
 def test_parse_int():
@@ -31,12 +21,6 @@ def test_parse_int():
     assert parse_int("-5") == -5
     with pytest.raises(ValueError):
         parse_int("3.5")
-
-
-def test_format_rational():
-    assert format_rational(Fraction(7, 2)) == "7/2"
-    assert format_rational(Fraction(6, 2)) == "3"
-    assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
 def test_fraction_normalization_is_structural():
@@ -102,11 +86,10 @@ def test_parse_ratio_agrees_with_the_fraction_parser(token):
     """Every accepted token parses to the reduced pair of the Fraction the
     old parser made (signs, leading zeros, unreduced p/q, trailing zeros,
     -0 and tokens past 4,300 digits among them); every rejected one raises
-    the same message, from parse_ratio and from parse_rational."""
+    the same message from parse_ratio."""
     with no_digit_limit():
         expected = _outcome(_fraction_parse, token)
         pair = _outcome(parse_ratio, token)
-        assert _outcome(parse_rational, token) == expected
     if isinstance(expected, str):
         assert pair == expected
     else:
@@ -126,8 +109,7 @@ def test_parse_ratio_examples(token, pair):
 
 
 def test_parse_rational_reduces_each_token_once(monkeypatch):
-    """parse_rational hands the token's own terms to Fraction, which reduces
-    them; it does not reduce them first with parse_ratio's gcd."""
+    """parse_ratio reduces the token's own terms with one gcd per token."""
     from latticecount import rationals
 
     calls = []
@@ -137,7 +119,6 @@ def test_parse_rational_reduces_each_token_once(monkeypatch):
         return gcd(*args)
 
     monkeypatch.setattr(rationals, "gcd", counting_gcd)
-    for token, value in (("-12/8", Fraction(-3, 2)), ("2.50", Fraction(5, 2)), ("7", 7)):
-        assert parse_rational(token) == value
-    assert calls == []
-    assert parse_ratio("-12/8") == (-3, 2) and len(calls) == 1
+    for token, value in (("-12/8", (-3, 2)), ("2.50", (5, 2)), ("7", (7, 1))):
+        assert parse_ratio(token) == value
+    assert calls == [(12, 8), (250, 100), (7, 1)]

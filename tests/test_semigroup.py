@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from latticecount.oracle import brute_apery, brute_denumerant2, brute_gaps
-from latticecount.semigroup import TwoGenSemigroup, denumerant2
+from latticecount.semigroup import TwoGenSemigroup
 from references import brute_denumerant2_table
 
 
@@ -117,20 +117,20 @@ def test_count_upto_near_1e9_generators():
 
 
 def test_denumerant_examples():
-    assert denumerant2(3, 7, 46) == 2
-    assert denumerant2(3, 7, 5) == 0
-    assert denumerant2(2, 3, 6) == 2
-    assert denumerant2(3, 7, -4) == 0
+    assert TwoGenSemigroup(3, 7).denumerant(46) == 2
+    assert TwoGenSemigroup(3, 7).denumerant(5) == 0
+    assert TwoGenSemigroup(2, 3).denumerant(6) == 2
+    assert TwoGenSemigroup(3, 7).denumerant(-4) == 0
     # bound residue 0 mod a generator
-    assert denumerant2(3, 7, 21) == 2
-    assert denumerant2(3, 7, 7) == 1
+    assert TwoGenSemigroup(3, 7).denumerant(21) == 2
+    assert TwoGenSemigroup(3, 7).denumerant(7) == 1
 
 
 def test_denumerant_degenerate_generators():
     for c in range(0, 30):
-        assert denumerant2(1, 5, c) == c // 5 + 1
-        assert denumerant2(5, 1, c) == c // 5 + 1
-        assert denumerant2(1, 1, c) == c + 1
+        assert TwoGenSemigroup(1, 5).denumerant(c) == c // 5 + 1
+        assert TwoGenSemigroup(5, 1).denumerant(c) == c // 5 + 1
+        assert TwoGenSemigroup(1, 1).denumerant(c) == c + 1
 
 
 def test_denumerant_matches_brute_force_and_bound():
@@ -153,7 +153,7 @@ def test_denumerant_is_the_enumerated_period_plus_full_periods_at_300_digits():
     coprime pair up to 30 at c of up to 300 digits."""
     rng = random.Random(2029)
     for a, b in coprime_pairs(30, strict=False):
-        table = brute_denumerant2_table(a, b, a * b - 1)
+        table, s = brute_denumerant2_table(a, b, a * b - 1), TwoGenSemigroup(a, b)
         for c in (rng.randrange(10**300), rng.randrange(10**299, 10**300),
                   rng.randrange(10**6) * a * b + rng.randrange(a * b)):
-            assert denumerant2(a, b, c) == table[c % (a * b)] + c // (a * b), (a, b, c)
+            assert s.denumerant(c) == table[c % (a * b)] + c // (a * b), (a, b, c)

@@ -212,6 +212,24 @@ def test_requests_but_pick_and_check_load_no_fractions(tmp_path):
     assert _fresh(code) == f"{[0] * len(requests)}\n[]\n"
 
 
+def test_only_readers_import_fractions():
+    """The CLI's parser and driver build no Fraction: neither rationals.py
+    nor cli.py imports fractions, at module level or in a function.  A
+    Fraction is built only where a value is read as one."""
+    found = []
+    for name in ("rationals.py", "cli.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(), filename=name)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for module in modules
+                      if module.split(".")[0] == "fractions"]
+    assert not found, f"fractions imports: {found}"
+
+
 def test_oracle_loads_on_first_use():
     """latticecount.oracle is imported when it is first read, by attribute,
     by from-import or by a star import, and is one module each way."""

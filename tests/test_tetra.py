@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd, lcm
 
@@ -12,7 +13,7 @@ import pytest
 
 from latticecount import cli, kernel, tetra
 from latticecount.oracle import brute_denumerant3, brute_tetra
-from latticecount.semigroup import denumerant2
+from latticecount.semigroup import TwoGenSemigroup
 from latticecount.tetra import (
     _reduce,
     _tetra_closed_form,
@@ -36,6 +37,26 @@ def test_tetra_examples():
 def test_tetra_rejects_nonpositive_generators(gens):
     with pytest.raises(ValueError):
         tetra_count(*gens, 5)
+
+
+@pytest.mark.parametrize("count, args", [
+    (kernel.quadrant_count, (3, 7, Fraction(93, 2))),
+    (kernel.quadrant_count, (3, 7, 46.5)),
+    (kernel.quadrant_count, (3.0, 7, 46)),
+    (kernel.quadrant_blocks, (3, 7, 46.5)),
+    (tetra_count, (1, 2, 3, 10.5)),
+    (tetra_count, (1, 2, Fraction(3), 10)),
+    (tetra_slice_counts, (1, 2, 3, 10.5)),
+    (denumerant3, (1, 2, 3, 10.5)),
+], ids=lambda x: getattr(x, "__name__", None) or repr(x))
+def test_counts_refuse_non_int_arguments(count, args):
+    """A float or Fraction argument is refused, not counted wrong: the
+    points with 3x + 7y <= 46.5 number 63 and those of the tetrahedron
+    x + 2y + 3z <= 10.5 number 67, where the closed forms, run on a
+    non-int bound, would give 64 and 77."""
+    assert (kernel.quadrant_count(3, 7, 46), tetra_count(1, 2, 3, 10)) == (63, 67)
+    with pytest.raises(ValueError, match="must be integers"):
+        count(*args)
 
 
 def test_denumerant3_examples():
@@ -148,7 +169,7 @@ def _class_period(gens):
     """(stride, P, T) of tetra_slice_counts: the slices of one class modulo
     stride have bounds falling by sigma = s/gcd(s, d), their second
     differences repeat with period P, and the classes with T = stride*P."""
-    p, q, s, d = _reduce(*gens)
+    p, q, s, d = _reduce(*gens, 0)
     stride, sigma = d // gcd(s, d), s // gcd(s, d)
     period = p * q // gcd(sigma, p * q)
     return stride, period, stride * period
@@ -166,7 +187,7 @@ def test_slice_rows_against_the_slice_definition():
                           "(1, 1, 1)"), 0)
     for case in range(1500):
         gens = [1, 1, 1] if case % 50 == 0 else [rng.randint(1, 60) for _ in range(3)]
-        p, q, s, d = _reduce(*gens)
+        p, q, s, d = _reduce(*gens, 0)
         stride, P, T = _class_period(gens)
         periods = rng.randint(1, 3) * T
         head = stride * (P + rng.randint(0, 2)) + 1 + rng.randrange(stride)  # m = P + 1..3
@@ -202,7 +223,7 @@ def test_slice_rows_bound_the_kernel_calls(monkeypatch, gens, b):
     kernel = tetra.quadrant_count
     monkeypatch.setattr(tetra, "quadrant_count", lambda *args: calls.append(args) or kernel(*args))
     slices = tetra_slice_counts(*gens, b)
-    p, q, s, d = _reduce(*gens)
+    p, q, s, d = _reduce(*gens, b)
     n = b // s + 1
     _, _, T = _class_period(gens)
     assert len(slices) == n
@@ -220,7 +241,8 @@ def test_million_slice_trace_sums_to_the_count():
     slices = report["trace"]["slices"]
     assert len(slices) == 10**6
     total = sum(map(int, slices))
-    assert total == int(report["count"]) == _tetra_closed_form(*_reduce(5, 7, 12), 11999999)
+    reduced = _reduce(5, 7, 12, 11999999)
+    assert total == int(report["count"]) == _tetra_closed_form(*reduced, 11999999)
 
 
 def test_denumerant3_with_no_admissible_slice():
@@ -237,7 +259,7 @@ def _slice_loop_denumerant3(a1, a2, a3, n):
     k + D(r) for c = k*p*q + r: the reference for the closed form."""
     if n < 0:
         return 0
-    p, q, s, d = _reduce(a1, a2, a3)
+    p, q, s, d = _reduce(a1, a2, a3, n)
     pq = p * q
     g = gcd(s, d)
     if n % g:
@@ -261,7 +283,7 @@ def test_closed_forms_against_the_slice_loop():
         slices = sum(tetra_slice_counts(*gens, b))
         assert tetra_count(*gens, b) == slices, (gens, b)
         if b >= 0:
-            assert _tetra_closed_form(*_reduce(*gens), b) == slices, (gens, b)
+            assert _tetra_closed_form(*_reduce(*gens, b), b) == slices, (gens, b)
         expected = _slice_loop_denumerant3(*gens, b)
         assert denumerant3(*gens, b) == expected, (gens, b)
         p, q, s = sorted(gens)
@@ -279,7 +301,7 @@ def test_closed_forms_against_the_slice_loop():
 def test_route_switch_boundary(monkeypatch, gens):
     """tetra_count slices while b//s + 1 < p + q and takes the closed form
     from there on; both sides agree with enumeration."""
-    p, q, s, _ = _reduce(*gens)
+    p, q, s, _ = _reduce(*gens, 0)
     sliced = []
     slice_counts = tetra.tetra_slice_counts
     monkeypatch.setattr(tetra, "tetra_slice_counts",
@@ -369,16 +391,17 @@ def test_closed_forms_without_asserts():
     cases += [([1, 1, 1], 10**12), ([1000, 1001, 1003], 10**30), ([6, 10, 15], 10**60)]
     probe = (
         "import json, sys\n"
-        "from latticecount.semigroup import denumerant2\n"
+        "from latticecount.semigroup import TwoGenSemigroup\n"
         "from latticecount.tetra import denumerant3, tetra_count\n"
         "cases = json.load(sys.stdin)\n"
         "print(json.dumps([[str(tetra_count(*g, b)), str(denumerant3(*g, b)),\n"
-        "                   str(denumerant2(g[0], 1 + g[1] * g[0], b))] for g, b in cases]))\n"
+        "                   str(TwoGenSemigroup(g[0], 1 + g[1] * g[0]).denumerant(b))]\n"
+        "                  for g, b in cases]))\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-O", "-c", probe], input=json.dumps(cases),
                             env=env, capture_output=True, text=True, check=True)
     expected = [[str(tetra_count(*g, b)), str(denumerant3(*g, b)),
-                 str(denumerant2(g[0], 1 + g[1] * g[0], b))] for g, b in cases]
+                 str(TwoGenSemigroup(g[0], 1 + g[1] * g[0]).denumerant(b))] for g, b in cases]
     assert json.loads(result.stdout) == expected

@@ -9,22 +9,12 @@ the Apery-set sum of floors.  That sum is one floor_sum, the Euclid-like
 reduction of sum_{i<n} floor((a*i + b)/m), so a count costs
 O(log min(a, b)) arithmetic steps on integers of the input's size.  The
 points on the line a*x + b*y = c are Popoviciu's denumerant of c.
+floor_sum and the quadrant counts take ints alone: any other argument
+raises ValueError, where a float or a Fraction would be counted wrong.
 """
 
 from collections import namedtuple
 from math import gcd
-
-
-def _replace_fields(self, /, **changes):
-    """The _replace of the shapes and TwoGenSemigroup: the named tuple with
-    the changed fields, rebuilt through the class's _make, so through its
-    checks.  A name that is not a field raises ValueError on every
-    interpreter, where namedtuple's own _replace raises TypeError from
-    Python 3.13 on."""
-    unknown = [name for name in changes if name not in self._fields]
-    if unknown:
-        raise ValueError(f"got unexpected field names: {unknown!r}")
-    return self._make(map(changes.get, self._fields, self))
 
 
 def _check_generators(a, b, c):
@@ -46,6 +36,9 @@ def floor_sum(n, m, a, b):
     (m, a) by (a, m mod a).  The loop runs O(log m) times; a and b may be
     any integers.
     """
+    if not (isinstance(n, int) and isinstance(m, int)
+            and isinstance(a, int) and isinstance(b, int)):
+        raise ValueError(f"arguments must be integers, got ({n!r}, {m!r}, {a!r}, {b!r})")
     if n < 0 or m < 1:
         raise ValueError(f"floor_sum needs n >= 0 and m >= 1, got n={n}, m={m}")
     total = 0

@@ -49,7 +49,6 @@ class Triangle(_Scaled):
 
     __slots__ = ()
     __new__ = lambda cls, v1, v2, v3: cls._hold((v1, v2, v3))
-    _arity = 3  # the vertex count _hold takes
     v1, v2, v3 = map(_vertex, range(3))
 
 
@@ -283,7 +282,10 @@ def edge_sum(p):
 
 def polygon_count(p):
     """Integral points in a closed simple polygon: the column sum of its
-    edges plus the boundary correction of edge_sum."""
+    edges plus the boundary correction of edge_sum.  Any other shape raises
+    ValueError: its points need not be counterclockwise."""
+    if not isinstance(p, Polygon):
+        raise ValueError(f"polygon_count takes a Polygon, got a {type(p).__name__}")
     return sum(edge_sum(p))
 
 
@@ -297,6 +299,8 @@ def pick_audit(p):
     The area comes from the shoelace sum, the boundary count from per-edge
     gcds, and the interior count from the edge sum minus the boundary.
     """
+    if not isinstance(p, Polygon):
+        raise ValueError(f"pick_audit takes a Polygon, got a {type(p).__name__}")
     from fractions import Fraction  # the area is a Fraction for its reader
     L, pts = p
     if L != 1:  # the lcm of the denominators: some vertex is not integral

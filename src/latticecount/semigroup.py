@@ -1,8 +1,9 @@
 """Two-generator numerical semigroups <a, b> and their invariants.
 
 For coprime positive generators a, b the semigroup is the set of all
-non-negative integer combinations x*a + y*b.  A TwoGenSemigroup holds a
-and b alone; every invariant is read off them by a classical closed form:
+non-negative integer combinations x*a + y*b.  A TwoGenSemigroup is the
+tuple (a, b), built by its constructor alone, with int-only methods;
+every invariant is read off a and b by a classical closed form:
 
     frobenius = a*b - a - b            (largest gap; -1 when a or b is 1)
     genus     = (a - 1)(b - 1) / 2     (number of gaps)
@@ -12,33 +13,38 @@ plus Popoviciu's formula for the denumerant (the number of representations
 of c as x*a + y*b with x, y >= 0), which lives in the kernel.
 """
 
-from collections import namedtuple
 from math import gcd
+from operator import itemgetter
 
-from .kernel import _replace_fields, denumerant, floor_sum
+from .kernel import _check_generators, denumerant, floor_sum
 
 
-class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b"])):
-    """The semigroup <a, b>, held as its generators; frobenius and genus
-    are read off them."""
+class TwoGenSemigroup(tuple):
+    """The semigroup <a, b>, held as the tuple of its generators, built
+    only by its constructor; frobenius and genus are read off them."""
 
     __slots__ = ()
 
     def __new__(cls, a, b):
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise ValueError(f"arguments must be integers, got ({a!r}, {b!r})")
         if a < 1 or b < 1:
             raise ValueError(f"generators must be >= 1, got ({a}, {b})")
         if gcd(a, b) != 1:
             raise ValueError(f"generators must be coprime, got ({a}, {b})")
-        return super().__new__(cls, a, b)
+        return super().__new__(cls, (a, b))
 
-    _make = classmethod(lambda cls, fields: cls(*fields))
-    _replace = _replace_fields  # through _make, so through __new__'s checks
+    a, b = property(itemgetter(0)), property(itemgetter(1))
     frobenius = property(lambda self: self.a * self.b - self.a - self.b)
     genus = property(lambda self: (self.a - 1) * (self.b - 1) // 2)
+
+    __repr__ = lambda self: f"{type(self).__name__}(a={self[0]!r}, b={self[1]!r})"
+    __getnewargs__ = lambda self: tuple(self)  # copy and pickle rebuild through __new__
 
     def apery(self, s):
         """Apery set with respect to a generator s, as a list indexed by
         residue: entry i is the least semigroup element congruent to i mod s."""
+        _check_generators(*self, s)
         if s == self.a:
             other = self.b
         elif s == self.b:
@@ -72,6 +78,7 @@ class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b"])):
         sum_{i < n} ((c - i*b)//a + 1) with n = min(a, c//b + 1): one
         floor_sum.
         """
+        _check_generators(*self, c)
         if c < 0:
             return 0
         a, b = self.a, self.b
@@ -80,5 +87,6 @@ class TwoGenSemigroup(namedtuple("TwoGenSemigroup", ["a", "b"])):
 
     def denumerant(self, c):
         """Number of pairs (x, y) with x, y >= 0 and x*a + y*b = c."""
+        _check_generators(*self, c)
         return denumerant(self.a, self.b, c)
 

@@ -7,15 +7,16 @@ integer kernel: a stable right triangle by one corner lift of its three
 points, _corner_lift, to one quadrant count, and a segment, the
 hypotenuse of such a triangle, to the denumerant of the lifted bound.
 The CLI's rtri request reads its count and its trace off one such lift.
-Every shape holds its integer points, made once by _integer_points
-(scale L, X = L*x), and builds its Fraction vertices only when read.
+Every shape is the plain tuple of its scale and integer points, made
+once by _integer_points (scale L, X = L*x) in its constructor, the one
+way to build it, and builds its Fraction vertices only when read.
 The orientation predicates are in polygons, their only user.
 """
 
-from collections import namedtuple
 from math import gcd, lcm
+from operator import itemgetter
 
-from .kernel import _replace_fields, denumerant, quadrant_count
+from .kernel import denumerant, quadrant_count
 
 
 def _rational(c):
@@ -37,41 +38,30 @@ def _integer_points(points):
                     y.numerator * (scale // y.denominator)) for x, y in points]
 
 
-def _vertices(scale, points):  # the Fraction vertices, for a reader and for _make
-    from fractions import Fraction
-    return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in points)
-
-
-class _Scaled(namedtuple("_Scaled", ["scale", "points"])):
-    """A shape with rational vertices, held as its scale L, the lcm of
+class _Scaled(tuple):
+    """A shape with rational vertices, the tuple of its scale L, the lcm of
     their denominators, and its points, each vertex times L: integer pairs
-    made once, by _hold.  `vertices`, the tuple of Fraction pairs, is built
-    from the points when read, and so is each named vertex."""
+    made once, by _hold, from the constructor.  `vertices`, the tuple of
+    Fraction pairs, is built from the points when read, and so is each
+    named vertex."""
 
     __slots__ = ()
 
     @classmethod
     def _hold(cls, vertices):
         """The shape of the vertices, scaled by _integer_points and checked."""
-        if hasattr(cls, "_arity") and len(vertices) != cls._arity:
-            raise ValueError(f"a {cls.__name__} has {cls._arity} vertices, got {len(vertices)}")
         scale, points = _integer_points(vertices)
-        return super().__new__(cls, scale, cls._checked(points))
+        return super().__new__(cls, (scale, cls._checked(points)))
 
     _checked = staticmethod(tuple)  # the integer points to hold, or ValueError
-    _replace = _replace_fields  # through _make
-    vertices = property(lambda self: _vertices(*self))
+    scale, points = property(itemgetter(0)), property(itemgetter(1))
+    __repr__ = lambda self: f"{type(self).__name__}(scale={self[0]!r}, points={self[1]!r})"
 
-    @classmethod
-    def _make(cls, fields):
-        """The shape of an int scale of at least 1 and int points, rebuilt
-        from the vertices they give; any other fields raise ValueError."""
-        scale, points = fields
-        if not isinstance(scale, int) or scale < 1:
-            raise ValueError(f"a shape's scale is an int of at least 1, got {scale!r}")
-        if not all(isinstance(c, int) for p in points for c in p):
-            raise ValueError(f"a shape's points are int pairs, got {points!r}")
-        return cls._hold(_vertices(scale, points))
+    @property
+    def vertices(self):
+        from fractions import Fraction
+        scale, points = self
+        return tuple((Fraction(x, scale), Fraction(y, scale)) for x, y in points)
 
     def __reduce__(self):  # copy and pickle rebuild from the vertices
         return self._hold, (self.vertices,)
@@ -97,7 +87,6 @@ class Segment(_Scaled):
 
     __slots__ = ()
     __new__ = lambda cls, p, q: cls._hold((p, q))
-    _arity = 2  # the vertex count _hold takes
     p, q = map(_vertex, range(2))
 
 
@@ -213,7 +202,11 @@ def stable_right_count(t, exclude=()):
     leave out of the count; each makes its inequality strict in the
     corner lift, so the count is one quadrant_count whatever the
     exclusion.  A point or a segment follows the same strict inequalities.
+    Any shape but a StableRightTriangle raises ValueError.
     """
+    if not isinstance(t, StableRightTriangle):
+        raise ValueError(f"stable_right_count takes a StableRightTriangle, "
+                         f"got a {type(t).__name__}")
     a, b, c, m = _corner_lift(*t, exclude)
     return c if a == 0 or b == 0 else quadrant_count(a, b, c // m)
 

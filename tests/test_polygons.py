@@ -788,43 +788,45 @@ def test_polygon_holds_its_points():
 
 def test_shapes_copy_and_replace_through_their_constructors():
     """Copies and pickle round trips are equal instances of the same class,
-    and the _make and _replace of a shape or a semigroup convert and check
-    their fields as its constructor does."""
+    rebuilt through the constructor's checks: a shape from its Fraction
+    vertices, a semigroup by __new__(cls, a, b).  A shape or a semigroup has
+    no _make or _replace, so its constructor is the one way to build one."""
     values = [Polygon(((0, 0), (0, F(3, 2)), (F(4, 3), 1))), Triangle((0, 0), (4, 1), (1, 3)),
               Segment((0, 0), (F(1, 2), 3)), StableRightTriangle((0, 0), (3, 0), (0, 2)),
               TwoGenSemigroup(3, 7), quadrant_blocks(3, 7, 46)]
     for value in values:
         for twin in copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value)):
             assert type(twin) is type(value) and twin == value
-        assert type(value)._make(tuple(value)) == value and value._replace() == value
-    t = StableRightTriangle((0, 0), (3, 0), (0, 2))
-    assert t._replace(scale=2) == StableRightTriangle((0, 0), (F(3, 2), 0), (0, 1))
-    assert t._replace(scale=2, points=((0, 0), (7, 0), (0, 4))) == (
-        StableRightTriangle((0, 0), (F(7, 2), 0), (0, 2)))
-    assert t._replace(scale=6, points=((0, 0), (6, 0), (0, 3))) == (2, ((0, 0), (2, 0), (0, 1)))
-    with pytest.raises(ValueError, match="legs must be parallel"):
-        t._replace(points=((0, 0), (3, 1), (0, 2)))
-    assert Segment((0, 0), (1, 1))._replace(scale=2).q == (F(1, 2), F(1, 2))
-    assert Triangle((0, 0), (1, 0), (0, 1))._replace(points=((0, 0), (1, 0), (0, 3))).v3 == (0, 3)
-    poly = Polygon(((0, 0), (2, 0), (0, 2)))
-    assert poly._replace(scale=2) == Polygon(((0, 0), (1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="not simple"):
-        poly._replace(points=((0, 0), (2, 2), (2, 0), (0, 2)))  # a bowtie
-    # a wrong vertex count, a scale below 1, or a non-int scale or coordinate is
-    # refused with ValueError
-    tri, seg = Triangle((0, 0), (1, 0), (0, 1)), Segment((0, 0), (1, 1))
-    for bad in (lambda: tri._replace(points=((0, 0), (1, 0), (0, 1), (1, 1))),
-                lambda: Triangle._make((1, ((0, 0), (1, 0)))),
-                lambda: seg._replace(points=((0, 0), (1, 1), (2, 2))),
-                lambda: t._replace(points=((0, 0), (3, 0))),
-                lambda: seg._replace(scale=0), lambda: seg._replace(scale=-2),
-                lambda: poly._replace(scale=-1), lambda: seg._replace(scale=1.5),
-                lambda: seg._replace(points=((0, 0), (1.5, 1)))):
-        with pytest.raises(ValueError):
-            bad()
-    # a semigroup's fields are its generators; frobenius and genus are read off them
-    s = TwoGenSemigroup(3, 7)
-    assert s._replace(b=8) == TwoGenSemigroup(3, 8) and TwoGenSemigroup._make((3, 7)) == s
-    for changes in {"b": 9}, {"genus": 6}:
-        with pytest.raises(ValueError):
-            s._replace(**changes)
+    for shape in values[:4]:
+        assert shape.__reduce__() == (type(shape)._hold, (shape.vertices,))
+    assert TwoGenSemigroup(3, 7).__reduce_ex__(2)[1] == (TwoGenSemigroup, 3, 7)
+    for cls in Segment, StableRightTriangle, Triangle, Polygon, TwoGenSemigroup:
+        for name in "_make", "_replace", "_asdict", "_fields", "_field_defaults":
+            assert not hasattr(cls, name), (cls, name)
+    seg, s = Segment((0, 0), (6, 4)), TwoGenSemigroup(3, 7)
+    assert repr(seg) == "Segment(scale=1, points=((0, 0), (6, 4)))"
+    assert repr(s) == "TwoGenSemigroup(a=3, b=7)"
+    assert seg == (1, ((0, 0), (6, 4))) and s == (3, 7) and hash(s) == hash((3, 7))
+    scale, points = seg
+    a, b = s
+    assert (scale, points, a, b) == (seg.scale, seg.points, s.a, s.b)
+    for value, name in (seg, "scale"), (seg, "points"), (s, "a"), (s, "b"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+
+
+@pytest.mark.parametrize("count, shape", [
+    (stable_right_count, Triangle((0, 0), (4, 1), (1, 3))),
+    (polygon_count, Triangle((0, 0), (1, 3), (4, 1))),
+    (pick_audit, Triangle((0, 0), (1, 3), (4, 1))),
+    (polygon_count, (1, ((0, 0), (4, 1), (1, 3)))),
+], ids=["stable_right_count-Triangle", "polygon_count-Triangle", "pick_audit-Triangle",
+        "polygon_count-pair"])
+def test_counts_refuse_a_shape_of_another_class(count, shape):
+    """A count reads its shape's points as its own class holds them, so a
+    shape of another class is refused, not miscounted: the triangle holds 8
+    points, where stable_right_count would read 11, polygon_count -5 and
+    pick_audit an interior of -8."""
+    assert triangle_count(Triangle((0, 0), (4, 1), (1, 3))) == 8
+    with pytest.raises(ValueError, match="takes a"):
+        count(shape)

@@ -48,12 +48,22 @@ def test_tetra_rejects_nonpositive_generators(gens):
     (tetra_count, (1, 2, Fraction(3), 10)),
     (tetra_slice_counts, (1, 2, 3, 10.5)),
     (denumerant3, (1, 2, 3, 10.5)),
+    (kernel.floor_sum, (5, 3, 7, 2.5)),
+    (kernel.floor_sum, (5, 3, Fraction(7), 2)),
+    (TwoGenSemigroup, (3.0, 7)),
+    (TwoGenSemigroup(3, 7).denumerant, (46.5,)),
+    (TwoGenSemigroup(3, 7).denumerant, (Fraction(93, 2),)),
+    (TwoGenSemigroup(3, 7).contains, (46.5,)),
+    (TwoGenSemigroup(3, 7).count_upto, (46.5,)),
+    (TwoGenSemigroup(3, 7).count_upto, (-1.5,)),
+    (TwoGenSemigroup(3, 7).apery, (3.0,)),
 ], ids=lambda x: getattr(x, "__name__", None) or repr(x))
 def test_counts_refuse_non_int_arguments(count, args):
     """A float or Fraction argument is refused, not counted wrong: the
     points with 3x + 7y <= 46.5 number 63 and those of the tetrahedron
     x + 2y + 3z <= 10.5 number 67, where the closed forms, run on a
-    non-int bound, would give 64 and 77."""
+    non-int bound, would give 64 and 77.  No 3x + 7y equals 46.5, where the
+    semigroup's denumerant would give 2.0 and contains True."""
     assert (kernel.quadrant_count(3, 7, 46), tetra_count(1, 2, 3, 10)) == (63, 67)
     with pytest.raises(ValueError, match="must be integers"):
         count(*args)

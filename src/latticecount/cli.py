@@ -18,6 +18,7 @@ with the reported count.
 """
 
 import argparse
+import gc
 import io
 import os
 import re
@@ -372,13 +373,24 @@ def run(argv, out=None, err=None):
     disagreement).  Everything, argparse's help and usage errors included,
     is written to out and err (default: the process streams).  Inputs and
     counts of any length convert: the interpreter's int <-> str digit
-    limit is lifted for the call, and the caller's limit restored."""
+    limit is lifted for the call, and the caller's limit restored.
+
+    The cyclic garbage collector is paused for the call, so the argparse
+    tree each call builds is not promoted to an older generation while it
+    is alive; if the caller's collector was enabled, one young collection
+    at the end frees the tree, and the collector is enabled again.  A
+    caller's disabled collector stays disabled, and nothing is collected."""
     saved = sys.get_int_max_str_digits()
+    collecting = gc.isenabled()
     sys.set_int_max_str_digits(0)
+    gc.disable()
     try:
         return _run(argv, out, err)
     finally:
         sys.set_int_max_str_digits(saved)
+        if collecting:
+            gc.collect(0)
+            gc.enable()
 
 
 def _write(text, stream, err, what, end=""):

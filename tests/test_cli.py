@@ -1,4 +1,6 @@
+import argparse
 import errno
+import gc
 import io
 import itertools
 import json
@@ -937,6 +939,114 @@ def test_run_restores_the_callers_digit_limit(capsys, argv):
         sys.set_int_max_str_digits(limit)
 
 
+# --- the cyclic collector ------------------------------------------------------
+# run pauses the collector for the call, so the argparse tree the call builds
+# stays young, and one young collection at the end frees it.
+
+
+class _Escaped(Exception):
+    """Raised by a patched library function; run catches no such error."""
+
+
+def _escape(*args):
+    raise _Escaped
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["tri", "0", "0", "4", "1", "1", "3"], 0),
+    (["-h"], 0),
+    (["thr", "3"], 1),  # argparse's usage error
+    (["frobnicate"], 1),
+    (["thr", "3", "7", "x"], 1),
+    (["thr", "3", "7", "46", "--check"], 2),
+    (["thr", "3", "7", "46"], _Escaped),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector(monkeypatch, argv, code, enabled):
+    """On every way out of run, an enabled collector has run one young
+    collection and no other, and is enabled again; a disabled one is still
+    disabled and has collected nothing, so the call's tree is still counted."""
+    monkeypatch.setattr(oracle, "brute_halfplane_quadrant", lambda *a, **k: 7)
+    if code is _Escaped:
+        monkeypatch.setattr(kernel, "quadrant_count", _escape)
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    out, err = io.StringIO(), io.StringIO()
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    gc.callbacks.append(record)
+    try:
+        young = gc.get_count()[0]
+        if code is _Escaped:
+            with pytest.raises(_Escaped):
+                cli.run(argv, out, err)
+        else:
+            assert cli.run(argv, out, err) == code
+        young = gc.get_count()[0] - young
+        left_enabled = gc.isenabled()
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable() if was_enabled else gc.disable()
+    assert left_enabled is enabled
+    if enabled:
+        assert collections == [0]
+    else:
+        assert collections == [] and young > 200  # a tree is about 450 objects
+
+
+def test_no_argparse_tree_outlives_a_call():
+    """200 calls, with no collection by the caller, leave no parser alive."""
+    def parsers():
+        return [obj for obj in gc.get_objects() if isinstance(obj, argparse.ArgumentParser)]
+
+    before = parsers()  # pytest's own among them; held, so that their ids stay theirs
+    known = {id(parser) for parser in before}
+    argvs = (["tri", "0", "0", "4", "1", "1", "3"], ["-h"], ["thr", "3"], ["frobnicate"],
+             ["thr", "3", "7", "x"], ["thr", "3", "7", "46", "--trace", "--json"])
+    for argv in itertools.islice(itertools.cycle(argvs), 200):
+        cli.run(argv, io.StringIO(), io.StringIO())
+    assert [parser for parser in parsers() if id(parser) not in known] == []
+
+
+def _young_garbage(argv):
+    """The exit code of a warm cli._run call, and the net count of young
+    gc-tracked objects that it leaves, with the collector paused."""
+    out, err = io.StringIO(), io.StringIO()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cli._run(argv, out, err)  # the imports and caches the request uses
+        young = gc.get_count()[0]
+        code = cli._run(argv, out, err)
+        return code, gc.get_count()[0] - young
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_young_garbage_does_not_grow_with_the_input(tmp_path):
+    """run holds all of a request's cyclic garbage until the call ends, so
+    a request must make about one argparse tree of it, however large its
+    input: not some per vertex, slice or block."""
+    n = 2000
+    saw = [(0, 0), (n, 0)] + [(x, 1 + x % 2) for x in range(n, -1, -1)]  # n + 3 vertices
+    path = tmp_path / "saw.txt"
+    path.write_text("".join(f"{x} {y}\n" for x, y in saw))
+    code, tri = _young_garbage(["tri", "0", "0", "4", "1", "1", "3"])
+    assert code == 0
+    for argv, code in [(["poly", str(path)], 0),
+                       (["tetra", "2", "3", "5", "50000", "--trace"], 0),  # 10,001 slices
+                       (["thr", "3", "7", "100000", "--trace"], 0),
+                       (["tri", "0", "0", "4", "1", "1", "3", "--check"], 0),
+                       (["frobnicate"], 1)]:
+        got, young = _young_garbage(argv)
+        assert got == code and young <= 2 * tri, (argv, young, tri)
+
+
 # --- the writers ---------------------------------------------------------------
 # A query marks each list of ints in its trace as a cli._Ints, and both
 # writers print one in one printf pass.  The reference is the rendering of
@@ -1107,8 +1217,9 @@ def test_gap_list_near_10_5_entries(capsys):
 
 
 def _cli_process(*argv, stdout, unbuffered, stderr=subprocess.PIPE):
-    """The CLI in a child process; with a buffered stdout the failed write
-    stays in the buffer until the interpreter flushes it at exit."""
+    """The CLI in a child process, to be used in a with statement, which
+    closes its pipes; with a buffered stdout the failed write stays in the
+    buffer until the interpreter flushes it at exit."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src
@@ -1128,19 +1239,19 @@ def _assert_write_failure(code, err, what="the report"):
 def test_closed_stdout_exits_1(unbuffered):
     """The reader closes the pipe after 100 bytes of a 4 MB trace, as
     `latticecount thr 3 7 10000000 --trace | head -c 100` does."""
-    proc = _cli_process("thr", "3", "7", "10000000", "--trace", stdout=subprocess.PIPE,
-                        unbuffered=unbuffered)
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read()
-    _assert_write_failure(proc.wait(timeout=60), err)
+    with _cli_process("thr", "3", "7", "10000000", "--trace", stdout=subprocess.PIPE,
+                      unbuffered=unbuffered) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        _assert_write_failure(proc.wait(timeout=60), err)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_full_device_exits_1(unbuffered):
-    with open("/dev/full", "w") as full:
-        proc = _cli_process("thr", "3", "7", "46", stdout=full, unbuffered=unbuffered)
+    with (open("/dev/full", "w") as full,
+          _cli_process("thr", "3", "7", "46", stdout=full, unbuffered=unbuffered) as proc):
         err = proc.stderr.read()
         _assert_write_failure(proc.wait(timeout=60), err)
 
@@ -1167,8 +1278,8 @@ def test_run_reports_output_it_cannot_write(argv, what):
 @pytest.mark.parametrize("argv", [["-h"], ["tetra", "--help"]])
 def test_help_to_full_device_exits_1(argv, unbuffered):
     """argparse ignores a failed write of its help; the CLI does not."""
-    with open("/dev/full", "w") as full:
-        proc = _cli_process(*argv, stdout=full, unbuffered=unbuffered)
+    with (open("/dev/full", "w") as full,
+          _cli_process(*argv, stdout=full, unbuffered=unbuffered) as proc):
         err = proc.stderr.read()
         _assert_write_failure(proc.wait(timeout=60), err, "the help")
 
@@ -1179,7 +1290,8 @@ def test_help_to_full_device_exits_1(argv, unbuffered):
 def test_errors_to_full_device_exit_1(argv, unbuffered):
     """A usage or input error that cannot be written still exits 1; the
     interpreter's own flush at exit would make that 120."""
-    with open("/dev/full", "w") as full:
-        proc = _cli_process(*argv, stdout=subprocess.PIPE, stderr=full, unbuffered=unbuffered)
+    with (open("/dev/full", "w") as full,
+          _cli_process(*argv, stdout=subprocess.PIPE, stderr=full,
+                       unbuffered=unbuffered) as proc):
         assert proc.stdout.read() == ""
         assert proc.wait(timeout=60) == 1
